@@ -32,8 +32,9 @@ struct EvalScratch {
     std::vector<double> mean_im;
     std::vector<double> noise_var;
     std::vector<double> snr_db;
-    /// Per-group wide response accumulators for multi-link scoring: one
-    /// stacked SplitVec per transmitter group of the shared basis
+    /// Candidate response accumulators of the batched optimize driver: one
+    /// SplitVec per basis read — a link's one-member stack
+    /// (core::LinkCache) or a transmitter group's stack
     /// (core::MultiLinkCache). Sized once per worker, then reused.
     std::vector<util::kernels::SplitVec> group_h;
     /// Per-term utilities of a composite multi-link objective.

@@ -1,52 +1,11 @@
-// Factored per-link channel cache: the searcher's fast evaluation path.
-//
-// For a fixed scene geometry, link endpoints and element load banks, the
-// channel of a link decomposes into a configuration-independent part and a
-// per-element basis:
-//
-//     H[k] = H_static[k] + sum_e B[e][ state_e ][k]
-//
-// where H_static is the CFR of the environment paths (direct + wall images
-// + scatterers + static diffuse multipath) and B[e][s] is the CFR of
-// element e's two-hop re-radiation under load state s — both independent
-// of which configuration is applied. Scoring a candidate configuration
-// then costs a row-gather plus a complex accumulation over
-// elements x subcarriers (a sparse complex GEMV) instead of an image-
-// method re-trace of the scene, which is what lets a controller sweep
-// thousands of candidates inside one coherence window.
-//
-// The basis is stored as a blocked split-complex SoA table: each row
-// occupies one contiguous block of 2*row_stride doubles — the re lane
-// segment followed by the im lane segment, with row_stride padded up to a
-// multiple of util::kernels::kLanes. Keeping a row's re and im segments
-// adjacent means a row gather touches ONE forward-striding memory stream
-// (and half the TLB pages) instead of two distant ones, which is what
-// keeps the accumulation bandwidth-bound rather than stride-bound once
-// the table grows to thousands of rows. On top of the row blocking, the
-// candidate accumulation is tiled over fixed-size subcarrier blocks
-// (kTileSubcarriers): for wide numerologies the element loop runs inside
-// each subcarrier tile so the scratch segment stays resident in L1 while
-// thousands of rows stream past it. The accumulation runs through the
-// util::kernels SoA layer, and the hot read path writes into caller-owned
-// scratch (response_into) — zero heap allocations per candidate once the
-// scratch reaches steady-state size.
-// The reconstruction adds the exact same per-path terms in the exact same
-// order as the direct synthesis (environment paths first, then each
-// array's elements in order), so a cached response is bit-identical to
-// em::frequency_response(medium.resolve_paths(link)) — not merely close.
-// The tiling only changes which subcarrier segment is visited when; for
-// any single subcarrier the element addition order is still ascending, so
-// the blocked layout produces the same bits as the flat one (element-wise
-// accumulation has no cross-lane reduction, and the kernels' kLanes
-// blocking handles the reductions that do).
-//
-// Coordinate sweeps get an incremental form: response_base_into() builds
-// the response with ONE element's row left out entirely, and
-// accumulate_element_row() adds a single row on top. A greedy coordinate
-// sweep therefore pays O(1) row-adds per candidate instead of the full
-// O(elements) gather, and because the swept row is always added last —
-// whether the base was cached (delta path) or recomputed per candidate —
-// both paths produce the exact same bits.
+// Per-link channel cache: the single-link indexer over the factored
+// basis (core/stacked_basis.hpp has the decomposition, layout and
+// bit-identity story). Each registered link owns a one-member
+// StackedBasis whose reads are sized num_sc, so a cached response is
+// bit-identical to em::frequency_response(medium.resolve_paths(link)).
+// The hot read path writes into caller-owned scratch (response_into) —
+// zero heap allocations per candidate once the scratch reaches
+// steady-state size.
 //
 // Invalidation: entries are validated on every access against
 //   - the environment's revision stamp (walls, obstacles, scatterers,
@@ -55,16 +14,14 @@
 //     fault injection or trim, element antennas re-pointed),
 //   - a fingerprint of the link endpoints (positions and antennas).
 // Applying configurations changes none of these, so config sweeps hit the
-// cache; fault installation and geometry edits rebuild it. Endpoint
-// velocities are ignored: responses are evaluated at elapsed time zero,
-// where Doppler contributes no rotation.
+// cache; fault installation and geometry edits rebuild it.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <vector>
 
+#include "core/stacked_basis.hpp"
 #include "press/config.hpp"
 #include "sdr/medium.hpp"
 #include "util/cvec.hpp"
@@ -109,10 +66,9 @@ public:
         std::uint64_t invalidations = 0;  ///< explicit invalidate() calls
     };
 
-    /// Subcarrier-tile width (doubles) of the blocked accumulation: a tile
-    /// of the scratch (2 x 256 doubles = 4 KiB) plus one basis row segment
-    /// fits comfortably in L1 while thousands of rows stream through.
-    static constexpr std::size_t kTileSubcarriers = 256;
+    /// Subcarrier-tile width (doubles) of the blocked accumulation.
+    static constexpr std::size_t kTileSubcarriers =
+        StackedBasis::kTileSubcarriers;
 
     /// Geometry of one array's basis table, for benchmarks and tests that
     /// want to report (or assert on) the blocked layout.
@@ -254,80 +210,26 @@ public:
         return s;
     }
 
+    /// The warm one-member basis of `link_id`, for batch drivers that
+    /// validated it through warm() and read it directly.
+    const StackedBasis& basis(std::size_t link_id) const;
+
 private:
-    /// One array's basis: per-state CFR rows in the blocked split-complex
-    /// layout. Row r's re segment starts at table[r * 2 * row_stride], its
-    /// im segment row_stride doubles later; row_stride is num_sc rounded
-    /// up to a multiple of kernels::kLanes (padding stays zero). One
-    /// allocation, one memory stream per gathered row.
-    struct ArrayBasis {
-        std::uint64_t structure_revision = 0;
-        std::vector<int> radices;             ///< states per element
-        std::vector<std::size_t> row_offset;  ///< element -> first row
-        std::size_t num_sc = 0;               ///< valid doubles per segment
-        std::size_t row_stride = 0;           ///< padded doubles per segment
-        std::vector<double> table;            ///< rows x [re | im] blocks
-
-        const double* row_re(std::size_t row) const {
-            return table.data() + row * 2 * row_stride;
-        }
-        const double* row_im(std::size_t row) const {
-            return row_re(row) + row_stride;
-        }
-        double* row_re(std::size_t row) {
-            return table.data() + row * 2 * row_stride;
-        }
-        double* row_im(std::size_t row) { return row_re(row) + row_stride; }
-    };
-
-    /// Link endpoint fingerprint: 2 x (position + antenna facets). Fixed
-    /// arity, so current() compares without allocating.
-    static constexpr std::size_t kFingerprintSize = 18;
-    using Fingerprint = std::array<double, kFingerprintSize>;
-
     struct Entry {
         bool valid = false;
-        std::uint64_t env_revision = 0;
-        Fingerprint fingerprint{};
-        util::kernels::SplitVec h_static;
-        std::vector<ArrayBasis> arrays;
+        StackedBasis::Fingerprint fingerprint{};
+        StackedBasis basis;
     };
 
-    static Fingerprint link_fingerprint(const sdr::Link& link);
     bool current(const sdr::Medium& medium, const Entry& entry,
                  const sdr::Link& link) const;
-    void rebuild(const sdr::Medium& medium, Entry& entry,
+    /// Rebuilds the entry when stale; returns true on a rebuild.
+    bool refresh(const sdr::Medium& medium, std::size_t link_id,
                  const sdr::Link& link);
-
-    /// Accumulates the rows selected by `config` into the split response
-    /// over each span, optionally skipping one element (kNoSkip = none).
-    /// add_rows() is the full-width special case (one span covering the
-    /// whole axis), so the two cannot drift.
-    static constexpr std::size_t kNoSkip = static_cast<std::size_t>(-1);
-    static void add_rows(util::kernels::SplitVec& h, const ArrayBasis& basis,
-                         const surface::Config& config,
-                         std::size_t skip_element = kNoSkip);
-    static void add_rows_ranges(util::kernels::SplitVec& h,
-                                const ArrayBasis& basis,
-                                const surface::Config& config,
-                                const util::kernels::IndexRange* ranges,
-                                std::size_t num_ranges,
-                                std::size_t skip_element);
-
-    /// Shared body of response_with / response_into / response_base_into
-    /// and their tile-bounded forms (full-width calls pass one span).
-    void accumulate_response_ranges(const sdr::Medium& medium,
-                                    const Entry& entry, std::size_t array_id,
-                                    const surface::Config& config,
-                                    std::size_t skip_element,
-                                    const util::kernels::IndexRange* ranges,
-                                    std::size_t num_ranges,
-                                    util::kernels::SplitVec& out) const;
-    void accumulate_response(const sdr::Medium& medium, const Entry& entry,
-                             std::size_t array_id,
-                             const surface::Config& config,
-                             std::size_t skip_element,
-                             util::kernels::SplitVec& out) const;
+    /// The entry of `link_id`, required current for `link`.
+    const StackedBasis& checked(const sdr::Medium& medium,
+                                std::size_t link_id,
+                                const sdr::Link& link) const;
 
     std::vector<Entry> entries_;
     std::atomic<std::uint64_t> hits_{0};

@@ -1,10 +1,13 @@
 // System::optimize_multilink — joint N-link optimization over the shared
-// per-transmitter basis (core::MultiLinkCache). The driver mirrors
-// optimize_fast's structure — trial pricing, warm-then-read cache
-// discipline, per-candidate rng streams, delta coordinate sweeps, winner
-// remeasure — but scores every candidate from stacked group responses:
-// one row selection per transmitter group serves all of that group's
-// links, so per-candidate cost grows with distinct transmitters.
+// per-transmitter basis (core::MultiLinkCache). It is the shared-basis
+// front end of System's one batched driver (optimize_batched, in
+// system.cpp): candidates are assembled from stacked group reads — one
+// row selection per transmitter group serves all of that group's links,
+// so per-candidate cost grows with distinct transmitters — and scored by
+// the same sounding, fused / masked / general finishes, coordinate delta
+// sweeps and winner remeasure as optimize_fast. Only this entry point
+// scores composite MultiLinkSpec objectives fused; for any single-link
+// objective it returns optimize_fast's result bit for bit.
 //
 // Determinism: for one candidate, group responses are assembled first
 // (ascending group id), then links are sounded in a FIXED order — term
@@ -16,16 +19,12 @@
 // differs by construction, so scores are mode-consistent, not
 // cross-mode comparable.
 #include <algorithm>
-#include <chrono>
-#include <complex>
 #include <limits>
 
-#include "control/batch.hpp"
 #include "core/system.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "phy/chanest.hpp"
-#include "util/contracts.hpp"
 #include "util/kernels.hpp"
 
 namespace press::core {
@@ -65,344 +64,36 @@ control::OptimizationOutcome System::optimize_multilink(
     const control::Searcher& searcher,
     const control::ControlPlaneModel& plane, double time_budget_s,
     util::Rng& rng, std::size_t threads) {
-    PRESS_EXPECTS(!links_.empty(), "register links before optimizing");
-    PRESS_EXPECTS(time_budget_s > 0.0, "budget must be positive");
     obs::TraceSpan span("core.system.optimize_multilink");
-    const surface::ConfigSpace space =
-        medium_.array(array_id).config_space();
-
-    // One trial is priced like the serial controller's: batch evaluation
-    // speeds up the simulator, not the modeled hardware.
-    control::SetConfig probe;
-    probe.array_id = 0;
-    probe.config.assign(space.num_elements(), 0);
-    const double trial_cost = plane.config_trial_time_s(
-        probe, links_.size(), medium_.ofdm().num_used());
-    const std::size_t max_evals = std::max<std::size_t>(
-        1, static_cast<std::size_t>(time_budget_s / trial_cost));
-
-    // Warm the shared basis so batch workers only ever read.
-    {
-        obs::TraceSpan warm_span("core.system.warm_multilink");
-        multi_cache_.warm(medium_, links_);
-    }
-
-    const surface::Config baseline =
-        medium_.array(array_id).current_config();
-    const fault::FaultModel* fm = faults(array_id);
-
-    const std::size_t num_links = links_.size();
-    const std::size_t num_groups = multi_cache_.num_groups();
-    const std::size_t num_sc = multi_cache_.num_sc();
-    std::vector<double> link_noise(num_links);
-    for (std::size_t i = 0; i < num_links; ++i)
-        link_noise[i] = medium_.estimate_noise_variance(links_[i]);
-
-    // Scoring mode: a composite MultiLinkSpec wins, then a single-link
-    // fused spec, then the general Observation path.
-    const control::MultiLinkSpec* ml = objective.multilink_spec();
-    if (ml != nullptr) {
-        for (const control::LinkTerm& t : ml->terms) {
-            PRESS_EXPECTS(t.link < num_links,
-                          "multi-link term names an unregistered link");
-            PRESS_EXPECTS(t.reduce != control::FusedSpec::Kind::kNone,
-                          "a multi-link term must reduce to a scalar");
-        }
-    }
-    const control::FusedSpec fused = objective.fused_spec();
-    const bool fuse = ml == nullptr &&
-                      fused.kind != control::FusedSpec::Kind::kNone &&
-                      fused.link < num_links;
-
-    // Which transmitter groups a candidate needs, ascending: the term
-    // links' groups (composite), the fused link's group, or all of them.
-    std::vector<std::size_t> needed_groups;
-    if (ml != nullptr) {
-        for (const control::LinkTerm& t : ml->terms)
-            needed_groups.push_back(multi_cache_.view(t.link).group);
-        std::sort(needed_groups.begin(), needed_groups.end());
-        needed_groups.erase(
-            std::unique(needed_groups.begin(), needed_groups.end()),
-            needed_groups.end());
-    } else if (fuse) {
-        needed_groups.push_back(multi_cache_.view(fused.link).group);
-    } else {
-        for (std::size_t g = 0; g < num_groups; ++g)
-            needed_groups.push_back(g);
-    }
-    // Every member of an assembled group is a served link response — the
-    // shared-basis hit accounting and the shard task weight both count
-    // (candidate x link) tiles.
-    std::size_t responses_per_eval = 0;
-    for (std::size_t g : needed_groups)
-        responses_per_eval += multi_cache_.group_links(g).size();
-
-    // Per-term / per-link segment placements, hoisted off the hot path.
-    std::vector<MultiLinkCache::LinkView> term_views;
-    if (ml != nullptr)
-        for (const control::LinkTerm& t : ml->terms)
-            term_views.push_back(multi_cache_.view(t.link));
-    std::vector<MultiLinkCache::LinkView> link_views;
-    link_views.reserve(num_links);
-    for (std::size_t i = 0; i < num_links; ++i)
-        link_views.push_back(multi_cache_.view(i));
-
-    const std::size_t repeats = sounding_repeats_;
-
-    // Sounds one link whose noise-free response lives at (hre, him) inside
-    // a stacked group response: same r-outer / k-inner draw order as
-    // Medium::sound_with_response, combined by the LTF kernel into
-    // s.mean_re/_im and s.noise_var. Segment pointers instead of s.h —
-    // otherwise identical to optimize_fast's sound_scratch.
-    const auto sound_segment = [&link_noise, repeats, num_sc](
-                                   std::size_t link_id, const double* hre,
-                                   const double* him, util::Rng& crng,
-                                   control::EvalScratch& s) {
-        const double var = link_noise[link_id];
-        s.resize_tracked(s.raw_re, repeats * num_sc);
-        s.resize_tracked(s.raw_im, repeats * num_sc);
-        s.resize_tracked(s.mean_re, num_sc);
-        s.resize_tracked(s.mean_im, num_sc);
-        s.resize_tracked(s.noise_var, num_sc);
-        for (std::size_t r = 0; r < repeats; ++r) {
-            double* rr = s.raw_re.data() + r * num_sc;
-            double* ri = s.raw_im.data() + r * num_sc;
-            for (std::size_t k = 0; k < num_sc; ++k) {
-                const std::complex<double> w = crng.complex_gaussian(var);
-                rr[k] = hre[k] + w.real();
-                ri[k] = him[k] + w.imag();
-            }
-        }
-        util::kernels::ltf_mean_var(
-            util::kernels::active(), s.raw_re.data(), s.raw_im.data(),
-            repeats, num_sc, s.mean_re.data(), s.mean_im.data(),
-            s.noise_var.data());
-    };
-
-    // Reduces the sounding in s to one scalar SNR (dB) via the fused
-    // kernels (min exact vs the Observation path; mean blocked-vs-
-    // sequential ulps — the FusedSpec contract).
-    const auto reduce_sounding = [num_sc](control::FusedSpec::Kind kind,
-                                          control::EvalScratch& s) {
-        const util::kernels::Dispatch d = util::kernels::active();
-        return kind == control::FusedSpec::Kind::kMinSnr
-                   ? util::kernels::snr_db_min(
-                         d, s.mean_re.data(), s.mean_im.data(),
-                         s.noise_var.data(), num_sc, phy::kSnrCapDb,
-                         phy::kSnrFloorDb)
-                   : util::kernels::snr_db_mean(
-                         d, s.mean_re.data(), s.mean_im.data(),
-                         s.noise_var.data(), num_sc, phy::kSnrCapDb,
-                         phy::kSnrFloorDb);
-    };
-
-    // Scores a candidate whose needed group responses are already stacked
-    // in s.group_h. Sounding order is fixed per mode (see file comment).
-    const auto score_from_groups = [&](util::Rng& crng,
-                                       control::EvalScratch& s) -> double {
-        if (ml != nullptr) {
-            s.resize_tracked(s.term_utility, ml->terms.size());
-            for (std::size_t t = 0; t < ml->terms.size(); ++t) {
-                const control::LinkTerm& term = ml->terms[t];
-                const MultiLinkCache::LinkView& view = term_views[t];
-                const util::kernels::SplitVec& wide = s.group_h[view.group];
-                sound_segment(term.link, wide.re.data() + view.offset,
-                              wide.im.data() + view.offset, crng, s);
-                const double v = reduce_sounding(term.reduce, s);
-                s.term_utility[t] =
-                    control::MultiLinkObjective::term_utility(term, v);
-            }
-            return control::MultiLinkObjective::combine(
-                *ml, s.term_utility.data());
-        }
-        if (fuse) {
-            const MultiLinkCache::LinkView& view = link_views[fused.link];
-            const util::kernels::SplitVec& wide = s.group_h[view.group];
-            sound_segment(fused.link, wide.re.data() + view.offset,
-                          wide.im.data() + view.offset, crng, s);
-            return reduce_sounding(fused.kind, s);
-        }
-        // General path: materialize the Observation from the stacked
-        // responses, ascending link id, and hand it to the objective.
-        if (s.observation.link_snr_db.size() != num_links)
-            s.observation.link_snr_db.resize(num_links);
-        for (std::size_t i = 0; i < num_links; ++i) {
-            const MultiLinkCache::LinkView& view = link_views[i];
-            const util::kernels::SplitVec& wide = s.group_h[view.group];
-            sound_segment(i, wide.re.data() + view.offset,
-                          wide.im.data() + view.offset, crng, s);
-            std::vector<double>& snr = s.observation.link_snr_db[i];
-            s.resize_tracked(snr, num_sc);
-            util::kernels::snr_db_into(
-                util::kernels::active(), s.mean_re.data(), s.mean_im.data(),
-                s.noise_var.data(), num_sc, phy::kSnrCapDb, phy::kSnrFloorDb,
-                snr.data());
-        }
-        return objective.score(s.observation);
-    };
-
-    const auto ensure_groups = [num_groups](control::EvalScratch& s) {
-        // Outer vector sized once per worker; the SplitVecs inside grow to
-        // group width on first use and are reused afterwards.
-        if (s.group_h.size() != num_groups) s.group_h.resize(num_groups);
-    };
-
-    control::BatchEvaluator pool(
-        [this, array_id, fm, &baseline, &needed_groups, &ensure_groups,
-         &score_from_groups](const surface::Config& c, util::Rng& crng,
-                             control::EvalScratch& s) {
-            const surface::Config* actual = &c;
-            if (fm) {
-                fm->distorted_into(c, baseline, crng, s.config);
-                actual = &s.config;
-            }
-            ensure_groups(s);
-            for (std::size_t g : needed_groups)
-                multi_cache_.group_response_into(medium_, g, array_id,
-                                                 *actual, s.group_h[g]);
-            return score_from_groups(crng, s);
-        },
-        rng.engine()(), threads);
-    // Shard in (candidate x link) tiles: a 32-link candidate carries 32
-    // tiles of work, so claims stay small enough to balance the tail.
-    pool.set_task_weight(responses_per_eval);
-
-    // Coordinate sweeps: per-group bases with the swept element's row
-    // left out, built once per sweep outside the workers (delta path) or
-    // recomputed per candidate (PRESS_DELTA=0) — identical bits, the row
-    // is always added last.
-    const bool delta = control::coordinate_delta_enabled();
-    std::vector<util::kernels::SplitVec> coord_base(num_groups);
-    pool.set_coordinate_score(
-        [this, array_id, delta, &coord_base, &needed_groups, &ensure_groups,
-         &score_from_groups](const control::CoordinateBatch& cb,
-                             std::size_t idx, util::Rng& crng,
-                             control::EvalScratch& s) {
-            const int state = (*cb.states)[idx];
-            const util::kernels::Dispatch d = util::kernels::active();
-            ensure_groups(s);
-            for (std::size_t g : needed_groups) {
-                if (delta) {
-                    const util::kernels::SplitVec& base = coord_base[g];
-                    s.resize_tracked(s.group_h[g], base.size());
-                    util::kernels::copy(d, base.re.data(), base.im.data(),
-                                        s.group_h[g].re.data(),
-                                        s.group_h[g].im.data(), base.size());
-                } else {
-                    multi_cache_.group_response_base_into(
-                        medium_, g, array_id, *cb.base, cb.element,
-                        s.group_h[g]);
-                }
-                multi_cache_.accumulate_group_element_row(
-                    g, array_id, cb.element, state, s.group_h[g]);
-            }
-            return score_from_groups(crng, s);
-        });
-
-    control::OptimizationOutcome outcome;
-    outcome.trial_cost_s = trial_cost;
-
-    control::SimClock clock;
-    const control::BatchEvalFn eval =
-        [this, &pool, &clock, trial_cost, responses_per_eval](
-            const std::vector<surface::Config>& batch) {
-            std::vector<double> scores = pool.evaluate(batch);
-            multi_cache_.note_batch_hits(
-                static_cast<std::uint64_t>(batch.size()) *
-                responses_per_eval);
-            clock.advance(trial_cost * static_cast<double>(batch.size()));
-            return scores;
-        };
-    const control::CoordinateEvalFn coord_eval =
-        fm ? control::CoordinateEvalFn{}
-           : control::CoordinateEvalFn(
-                 [this, &pool, &clock, trial_cost, responses_per_eval,
-                  delta, array_id, &needed_groups, &coord_base](
-                     const surface::Config& base, std::size_t element,
-                     const std::vector<int>& states) {
-                     if (delta) {
-                         for (std::size_t g : needed_groups)
-                             multi_cache_.group_response_base_into(
-                                 medium_, g, array_id, base, element,
-                                 coord_base[g]);
-                     }
-                     control::CoordinateBatch cb{&base, element, &states};
-                     std::vector<double> scores =
-                         pool.evaluate_coordinate(cb);
-                     multi_cache_.note_batch_hits(
-                         static_cast<std::uint64_t>(states.size()) *
-                         responses_per_eval);
-                     clock.advance(trial_cost *
-                                   static_cast<double>(states.size()));
-                     return scores;
-                 });
-    const control::StopFn stop = [&clock, time_budget_s]() {
-        return clock.now_s() >= time_budget_s;
-    };
-
-    {
-        obs::TraceSpan search_span("core.system.search_batched", &clock);
-        const auto compute_t0 = std::chrono::steady_clock::now();
-        outcome.search =
-            searcher.search_batched(space, eval, coord_eval, max_evals,
-                                    rng, stop, pool.num_threads() * 2);
-        outcome.search.compute_s =
-            std::chrono::duration<double>(
-                std::chrono::steady_clock::now() - compute_t0)
-                .count();
-    }
-    outcome.elapsed_s = clock.now_s();
-    outcome.budget_limited = outcome.search.evaluations >= max_evals ||
-                             clock.now_s() >= time_budget_s;
-
-    // Winner confirmation over fresh rng streams, priced like any trial.
-    outcome.search.best_score_remeasured = outcome.search.best_score;
-    if (!outcome.search.best_config.empty()) {
-        obs::TraceSpan remeasure_span("core.system.remeasure", &clock);
-        constexpr std::size_t kRemeasureEvals = 3;
-        const std::vector<double> confirm = eval(std::vector<surface::Config>(
-            kRemeasureEvals, outcome.search.best_config));
-        double sum = 0.0;
-        for (double v : confirm) sum += v;
-        outcome.search.remeasure_evals = confirm.size();
-        outcome.search.best_score_remeasured =
-            sum / static_cast<double>(confirm.size());
-    }
-    control::record_search_telemetry(searcher.name(), outcome.search);
-    pool.publish_worker_stats();
-
-    // Actuate the winner through the normal (fault-distorting) path.
-    if (!outcome.search.best_config.empty())
-        apply(array_id, outcome.search.best_config);
+    control::OptimizationOutcome outcome =
+        optimize_batched(/*shared=*/true, array_id, objective, searcher,
+                         plane, time_budget_s, rng, threads);
+    if (!obs::enabled()) return outcome;
 
     // Per-link winner scores for telemetry: noise-free estimator-scale
     // mean SNR of every link under the applied (possibly fault-distorted)
     // configuration, read from the shared basis. Cold path, one pass.
-    if (obs::enabled()) {
-        util::kernels::SplitVec wide;
-        std::vector<double> noise(num_sc);
-        std::vector<double> scores_db(num_links, 0.0);
-        const surface::Config& applied =
-            medium_.array(array_id).current_config();
-        for (std::size_t g = 0; g < num_groups; ++g) {
-            multi_cache_.group_response_into(medium_, g, array_id, applied,
-                                             wide);
-            const std::vector<std::size_t>& members =
-                multi_cache_.group_links(g);
-            for (std::size_t slot = 0; slot < members.size(); ++slot) {
-                const std::size_t link_id = members[slot];
-                const std::size_t offset =
-                    slot * multi_cache_.link_stride();
-                noise.assign(num_sc, link_noise[link_id]);
-                scores_db[link_id] = util::kernels::snr_db_mean(
-                    util::kernels::active(), wide.re.data() + offset,
-                    wide.im.data() + offset, noise.data(), num_sc,
-                    phy::kSnrCapDb, phy::kSnrFloorDb);
-            }
+    const std::size_t num_links = links_.size();
+    const std::size_t num_sc = multi_cache_.num_sc();
+    util::kernels::SplitVec wide;
+    std::vector<double> noise(num_sc);
+    std::vector<double> scores_db(num_links, 0.0);
+    const surface::Config& applied = medium_.array(array_id).current_config();
+    for (std::size_t g = 0; g < multi_cache_.num_groups(); ++g) {
+        multi_cache_.group_response_into(medium_, g, array_id, applied, wide);
+        for (const std::size_t link_id : multi_cache_.group_links(g)) {
+            const std::size_t offset = multi_cache_.view(link_id).offset;
+            noise.assign(num_sc,
+                         medium_.estimate_noise_variance(links_[link_id]));
+            scores_db[link_id] = util::kernels::snr_db_mean(
+                util::kernels::active(), wide.re.data() + offset,
+                wide.im.data() + offset, noise.data(), num_sc,
+                phy::kSnrCapDb, phy::kSnrFloorDb);
         }
-        multi_cache_.note_batch_hits(num_links);
-        record_multilink_telemetry(num_links, num_groups, scores_db);
     }
+    multi_cache_.note_batch_hits(num_links);
+    record_multilink_telemetry(num_links, multi_cache_.num_groups(),
+                               scores_db);
     return outcome;
 }
 

@@ -1,10 +1,9 @@
 #include "core/multilink_cache.hpp"
 
 #include <algorithm>
+#include <array>
 #include <map>
 
-#include "core/link_cache.hpp"
-#include "em/channel.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/contracts.hpp"
@@ -30,40 +29,15 @@ void mirror_hits(std::uint64_t n) {
     hits.add(n);
 }
 
-void antenna_facets(const em::Antenna& a, double* out) {
-    out[0] = a.peak_gain_dbi();
-    out[1] = a.is_omni() ? 1.0 : 0.0;
-    out[2] = a.beamwidth_rad();
-    out[3] = a.boresight().x;
-    out[4] = a.boresight().y;
-    out[5] = a.boresight().z;
-}
-
-// Full-link fingerprint: same 18 facets LinkCache validates per entry.
-std::array<double, 18> link_fingerprint(const sdr::Link& link) {
-    std::array<double, 18> fp{};
-    fp[0] = link.tx.position.x;
-    fp[1] = link.tx.position.y;
-    fp[2] = link.tx.position.z;
-    fp[3] = link.rx.position.x;
-    fp[4] = link.rx.position.y;
-    fp[5] = link.rx.position.z;
-    antenna_facets(link.tx.antenna, fp.data() + 6);
-    antenna_facets(link.rx.antenna, fp.data() + 12);
-    return fp;
-}
-
-// Transmitter identity: position + antenna facets. Links agreeing on all
-// nine facets share a group (exact comparison — endpoints come from the
-// same scenario-builder doubles, not re-derived values).
+// Transmitter identity: the fingerprint's leading nine facets (tx position
+// + antenna). Links agreeing on all nine share a group (exact comparison —
+// endpoints come from the same scenario-builder doubles, not re-derived
+// values).
 using TxKey = std::array<double, 9>;
 
-TxKey tx_key(const sdr::Link& link) {
+TxKey tx_key(const StackedBasis::Fingerprint& fp) {
     TxKey key{};
-    key[0] = link.tx.position.x;
-    key[1] = link.tx.position.y;
-    key[2] = link.tx.position.z;
-    antenna_facets(link.tx.antenna, key.data() + 3);
+    std::copy_n(fp.begin(), key.size(), key.begin());
     return key;
 }
 
@@ -73,14 +47,11 @@ bool MultiLinkCache::current(const sdr::Medium& medium,
                              const std::vector<sdr::Link>& links) const {
     if (!valid_) return false;
     if (views_.size() != links.size()) return false;
-    if (env_revision_ != medium.environment().revision()) return false;
-    if (array_revisions_.size() != medium.num_arrays()) return false;
-    for (std::size_t a = 0; a < array_revisions_.size(); ++a) {
-        if (array_revisions_[a] != medium.array(a).structure_revision())
-            return false;
-    }
+    // Every group is built in one pass, so one stamp speaks for all.
+    if (!groups_.front().basis.current(medium)) return false;
     for (std::size_t i = 0; i < links.size(); ++i) {
-        if (fingerprints_[i] != link_fingerprint(links[i])) return false;
+        if (fingerprints_[i] != StackedBasis::fingerprint(links[i]))
+            return false;
     }
     return true;
 }
@@ -88,12 +59,6 @@ bool MultiLinkCache::current(const sdr::Medium& medium,
 void MultiLinkCache::rebuild(const sdr::Medium& medium,
                              const std::vector<sdr::Link>& links) {
     obs::TraceSpan span("control.multilink.rebuild");
-    const std::vector<double>& freqs = medium.ofdm().used_frequencies_hz();
-    num_sc_ = freqs.size();
-    constexpr std::size_t kLanes = util::kernels::kLanes;
-    link_stride_ = (num_sc_ + kLanes - 1) / kLanes * kLanes;
-    const double carrier_hz = medium.ofdm().carrier_hz();
-
     // Group links by transmitter, groups ordered by first appearance and
     // members ascending (link ids ascend as we scan).
     groups_.clear();
@@ -101,86 +66,22 @@ void MultiLinkCache::rebuild(const sdr::Medium& medium,
     fingerprints_.resize(links.size());
     std::map<TxKey, std::size_t> by_tx;
     for (std::size_t i = 0; i < links.size(); ++i) {
-        fingerprints_[i] = link_fingerprint(links[i]);
-        const TxKey key = tx_key(links[i]);
-        auto [it, inserted] = by_tx.try_emplace(key, groups_.size());
+        fingerprints_[i] = StackedBasis::fingerprint(links[i]);
+        auto [it, inserted] =
+            by_tx.try_emplace(tx_key(fingerprints_[i]), groups_.size());
         if (inserted) groups_.emplace_back();
         Group& g = groups_[it->second];
-        views_[i] = LinkView{it->second, g.links.size(),
-                             g.links.size() * link_stride_};
+        views_[i] = LinkView{it->second, g.links.size(), 0};
         g.links.push_back(i);
     }
-
-    util::CVec scratch;
+    std::vector<const sdr::Link*> members;
     for (Group& g : groups_) {
-        g.width = g.links.size() * link_stride_;
-        // Wide static CFR: member slot s holds that link's environment
-        // response in its first num_sc doubles, zero padding after.
-        g.h_static.assign_zero(g.width);
-        for (std::size_t s = 0; s < g.links.size(); ++s) {
-            const sdr::Link& link = links[g.links[s]];
-            const util::CVec h_static =
-                em::frequency_response(medium.environment_paths(link), freqs);
-            util::kernels::deinterleave(h_static.data(),
-                                        g.h_static.re.data() + s * link_stride_,
-                                        g.h_static.im.data() + s * link_stride_,
-                                        num_sc_);
-        }
-        // Wide basis per array: the same (element, state) rows a LinkCache
-        // would build per member, stacked side by side. Row indexing —
-        // radices, row offsets — is shared: it depends only on the array.
-        g.arrays.clear();
-        g.arrays.reserve(medium.num_arrays());
-        for (std::size_t a = 0; a < medium.num_arrays(); ++a) {
-            const surface::Array& array = medium.array(a);
-            GroupBasis basis;
-            basis.width = g.width;
-            basis.radices.reserve(array.size());
-            basis.row_offset.reserve(array.size());
-            std::size_t rows = 0;
-            for (std::size_t s = 0; s < g.links.size(); ++s) {
-                const sdr::Link& link = links[g.links[s]];
-                const std::vector<std::vector<em::Path>> per_state =
-                    array.state_paths(medium.environment(), link.tx, link.rx,
-                                      carrier_hz);
-                if (s == 0) {
-                    for (const auto& states : per_state) {
-                        basis.radices.push_back(
-                            static_cast<int>(states.size()));
-                        basis.row_offset.push_back(rows);
-                        rows += states.size();
-                    }
-                    basis.table.assign(rows * 2 * basis.width, 0.0);
-                }
-                std::size_t e = 0;
-                for (const auto& states : per_state) {
-                    PRESS_EXPECTS(
-                        e < basis.row_offset.size() &&
-                            static_cast<int>(states.size()) ==
-                                basis.radices[e],
-                        "element state arity differs across group members");
-                    std::size_t r = basis.row_offset[e];
-                    for (const em::Path& p : states) {
-                        scratch.assign(num_sc_, util::cd{0.0, 0.0});
-                        em::accumulate_frequency_response(scratch, {p},
-                                                          freqs);
-                        util::kernels::deinterleave(
-                            scratch.data(),
-                            basis.row_re(r) + s * link_stride_,
-                            basis.row_im(r) + s * link_stride_, num_sc_);
-                        ++r;
-                    }
-                    ++e;
-                }
-            }
-            g.arrays.push_back(std::move(basis));
-        }
+        members.clear();
+        for (std::size_t id : g.links) members.push_back(&links[id]);
+        g.basis.build(medium, members.data(), members.size(),
+                      /*pad_reads=*/true);
     }
-
-    env_revision_ = medium.environment().revision();
-    array_revisions_.resize(medium.num_arrays());
-    for (std::size_t a = 0; a < medium.num_arrays(); ++a)
-        array_revisions_[a] = medium.array(a).structure_revision();
+    for (LinkView& v : views_) v.offset = v.slot * link_stride();
     valid_ = true;
 }
 
@@ -193,140 +94,10 @@ void MultiLinkCache::warm(const sdr::Medium& medium,
     mirror_rebuild();
 }
 
-void MultiLinkCache::add_rows(util::kernels::SplitVec& h,
-                              const GroupBasis& basis,
-                              const surface::Config& config,
-                              std::size_t skip_element) {
-    PRESS_EXPECTS(config.size() == basis.radices.size(),
-                  "configuration arity must match the cached array");
-    const std::size_t width = h.size();
-    for (std::size_t e = 0; e < config.size(); ++e) {
-        if (e == skip_element) continue;
-        PRESS_EXPECTS(config[e] >= 0 && config[e] < basis.radices[e],
-                      "configuration state out of the cached range");
-    }
-    const util::kernels::Dispatch d = util::kernels::active();
-    // Same blocked walk as LinkCache::add_rows, over the wide span: tile
-    // the scratch, stream the selected rows innermost. Each double still
-    // receives its element terms in ascending element order, and the
-    // element-wise accumulate has no cross-position reduction, so every
-    // member segment's bits match the standalone per-link path.
-    constexpr std::size_t kTile = LinkCache::kTileSubcarriers;
-    for (std::size_t sc = 0; sc < width; sc += kTile) {
-        const std::size_t len = std::min(kTile, width - sc);
-        double* tile_re = h.re.data() + sc;
-        double* tile_im = h.im.data() + sc;
-        for (std::size_t e = 0; e < config.size(); ++e) {
-            if (e == skip_element) continue;
-            const std::size_t row =
-                basis.row_offset[e] + static_cast<std::size_t>(config[e]);
-            util::kernels::accumulate(d, basis.row_re(row) + sc,
-                                      basis.row_im(row) + sc, tile_re,
-                                      tile_im, len);
-        }
-    }
-}
-
-void MultiLinkCache::add_rows_ranges(util::kernels::SplitVec& h,
-                                     const GroupBasis& basis,
-                                     const surface::Config& config,
-                                     std::size_t num_slots,
-                                     std::size_t link_stride,
-                                     const util::kernels::IndexRange* ranges,
-                                     std::size_t num_ranges,
-                                     std::size_t skip_element) {
-    PRESS_EXPECTS(config.size() == basis.radices.size(),
-                  "configuration arity must match the cached array");
-    for (std::size_t e = 0; e < config.size(); ++e) {
-        if (e == skip_element) continue;
-        PRESS_EXPECTS(config[e] >= 0 && config[e] < basis.radices[e],
-                      "configuration state out of the cached range");
-    }
-    const util::kernels::Dispatch d = util::kernels::active();
-    // Slots outer, spans and tiles inner, element walk innermost — the
-    // same L1-resident streaming as add_rows, restricted to each member
-    // segment's masked spans. Any single double still receives its
-    // element terms in ascending element order.
-    constexpr std::size_t kTile = LinkCache::kTileSubcarriers;
-    for (std::size_t s = 0; s < num_slots; ++s) {
-        const std::size_t seg = s * link_stride;
-        for (std::size_t ri = 0; ri < num_ranges; ++ri) {
-            const std::size_t begin = seg + ranges[ri].offset;
-            const std::size_t end = begin + ranges[ri].len;
-            PRESS_EXPECTS(end <= h.size(),
-                          "span exceeds the group response width");
-            for (std::size_t sc = begin; sc < end; sc += kTile) {
-                const std::size_t len = std::min(kTile, end - sc);
-                double* tile_re = h.re.data() + sc;
-                double* tile_im = h.im.data() + sc;
-                for (std::size_t e = 0; e < config.size(); ++e) {
-                    if (e == skip_element) continue;
-                    const std::size_t row =
-                        basis.row_offset[e] +
-                        static_cast<std::size_t>(config[e]);
-                    util::kernels::accumulate(d, basis.row_re(row) + sc,
-                                              basis.row_im(row) + sc,
-                                              tile_re, tile_im, len);
-                }
-            }
-        }
-    }
-}
-
-void MultiLinkCache::group_response_ranges_into(
-    const sdr::Medium& medium, std::size_t group, std::size_t array_id,
-    const surface::Config& config, const util::kernels::IndexRange* ranges,
-    std::size_t num_ranges, util::kernels::SplitVec& out) const {
+const StackedBasis& MultiLinkCache::group_basis(std::size_t group) const {
     PRESS_EXPECTS(valid_, "cache is cold; call warm() before group reads");
     PRESS_EXPECTS(group < groups_.size(), "group id out of range");
-    const Group& g = groups_[group];
-    PRESS_EXPECTS(array_id < g.arrays.size(),
-                  "array id out of the cached range");
-    for (std::size_t ri = 0; ri < num_ranges; ++ri)
-        PRESS_EXPECTS(ranges[ri].offset + ranges[ri].len <= num_sc_,
-                      "span exceeds the cached subcarrier count");
-    out.resize(g.width);
-    const util::kernels::Dispatch d = util::kernels::active();
-    for (std::size_t s = 0; s < g.links.size(); ++s) {
-        const std::size_t seg = s * link_stride_;
-        for (std::size_t ri = 0; ri < num_ranges; ++ri) {
-            const std::size_t o = seg + ranges[ri].offset;
-            util::kernels::copy(d, g.h_static.re.data() + o,
-                                g.h_static.im.data() + o, out.re.data() + o,
-                                out.im.data() + o, ranges[ri].len);
-        }
-    }
-    for (std::size_t a = 0; a < g.arrays.size(); ++a) {
-        if (a == array_id) {
-            add_rows_ranges(out, g.arrays[a], config, g.links.size(),
-                            link_stride_, ranges, num_ranges, kNoSkip);
-        } else {
-            add_rows_ranges(out, g.arrays[a],
-                            medium.array(a).current_config(),
-                            g.links.size(), link_stride_, ranges,
-                            num_ranges, kNoSkip);
-        }
-    }
-}
-
-void MultiLinkCache::accumulate_group(const sdr::Medium& medium,
-                                      const Group& group,
-                                      std::size_t array_id,
-                                      const surface::Config& config,
-                                      std::size_t skip_element,
-                                      util::kernels::SplitVec& out) const {
-    out.resize(group.width);
-    util::kernels::copy(util::kernels::active(), group.h_static.re.data(),
-                        group.h_static.im.data(), out.re.data(),
-                        out.im.data(), group.width);
-    for (std::size_t a = 0; a < group.arrays.size(); ++a) {
-        if (a == array_id) {
-            add_rows(out, group.arrays[a], config, skip_element);
-        } else {
-            add_rows(out, group.arrays[a], medium.array(a).current_config(),
-                     kNoSkip);
-        }
-    }
+    return groups_[group].basis;
 }
 
 void MultiLinkCache::group_response_into(const sdr::Medium& medium,
@@ -334,47 +105,35 @@ void MultiLinkCache::group_response_into(const sdr::Medium& medium,
                                          std::size_t array_id,
                                          const surface::Config& config,
                                          util::kernels::SplitVec& out) const {
-    PRESS_EXPECTS(valid_, "cache is cold; call warm() before group reads");
-    PRESS_EXPECTS(group < groups_.size(), "group id out of range");
-    PRESS_EXPECTS(array_id < groups_[group].arrays.size(),
+    group_response_ranges_into(medium, group, array_id, config, nullptr, 0,
+                               out);
+}
+
+void MultiLinkCache::group_response_ranges_into(
+    const sdr::Medium& medium, std::size_t group, std::size_t array_id,
+    const surface::Config& config, const util::kernels::IndexRange* ranges,
+    std::size_t num_ranges, util::kernels::SplitVec& out) const {
+    const StackedBasis& b = group_basis(group);
+    PRESS_EXPECTS(array_id < b.num_arrays(),
                   "array id out of the cached range");
-    accumulate_group(medium, groups_[group], array_id, config, kNoSkip, out);
+    b.read(medium, array_id, config, StackedBasis::kNoSkip, ranges,
+           num_ranges, out);
 }
 
 void MultiLinkCache::group_response_base_into(
     const sdr::Medium& medium, std::size_t group, std::size_t array_id,
     const surface::Config& config, std::size_t element,
     util::kernels::SplitVec& out) const {
-    PRESS_EXPECTS(valid_, "cache is cold; call warm() before group reads");
-    PRESS_EXPECTS(group < groups_.size(), "group id out of range");
-    PRESS_EXPECTS(array_id < groups_[group].arrays.size(),
-                  "array id out of the cached range");
-    PRESS_EXPECTS(
-        element < groups_[group].arrays[array_id].radices.size(),
-        "element id out of the cached range");
-    accumulate_group(medium, groups_[group], array_id, config, element, out);
+    const StackedBasis& b = group_basis(group);
+    PRESS_EXPECTS(element < b.num_elements(array_id),
+                  "element id out of the cached range");
+    b.read(medium, array_id, config, element, nullptr, 0, out);
 }
 
 void MultiLinkCache::accumulate_group_element_row(
     std::size_t group, std::size_t array_id, std::size_t element, int state,
     util::kernels::SplitVec& h) const {
-    PRESS_EXPECTS(valid_, "cache is cold; call warm() before group reads");
-    PRESS_EXPECTS(group < groups_.size(), "group id out of range");
-    const Group& g = groups_[group];
-    PRESS_EXPECTS(array_id < g.arrays.size(),
-                  "array id out of the cached range");
-    const GroupBasis& basis = g.arrays[array_id];
-    PRESS_EXPECTS(element < basis.radices.size(),
-                  "element id out of the cached range");
-    PRESS_EXPECTS(state >= 0 && state < basis.radices[element],
-                  "configuration state out of the cached range");
-    PRESS_EXPECTS(h.size() == g.width,
-                  "scratch does not match the group width");
-    const std::size_t row =
-        basis.row_offset[element] + static_cast<std::size_t>(state);
-    util::kernels::accumulate(util::kernels::active(), basis.row_re(row),
-                              basis.row_im(row), h.re.data(), h.im.data(),
-                              g.width);
+    group_basis(group).add_row(array_id, element, state, nullptr, 0, h);
 }
 
 MultiLinkCache::LinkView MultiLinkCache::view(std::size_t link_id) const {
@@ -391,37 +150,35 @@ const std::vector<std::size_t>& MultiLinkCache::group_links(
 }
 
 std::size_t MultiLinkCache::group_width(std::size_t group) const {
-    PRESS_EXPECTS(valid_, "cache is cold; call warm() first");
-    PRESS_EXPECTS(group < groups_.size(), "group id out of range");
-    return groups_[group].width;
+    return group_basis(group).width();
 }
 
 MultiLinkCache::MemoryStats MultiLinkCache::memory_stats() const {
     PRESS_EXPECTS(valid_, "cache is cold; call warm() first");
     MemoryStats m;
     for (const Group& g : groups_) {
-        m.shared_static_bytes += 2 * g.h_static.size() * sizeof(double);
-        m.shared_metadata_bytes += g.links.size() * sizeof(std::size_t);
-        for (const GroupBasis& basis : g.arrays) {
-            m.shared_table_bytes += basis.table.size() * sizeof(double);
-            const std::size_t meta =
-                basis.radices.size() * sizeof(int) +
-                basis.row_offset.size() * sizeof(std::size_t);
-            m.shared_metadata_bytes += meta;
-            // N per-link caches hold the same rows split across N tables
-            // (identical doubles) but duplicate the selection metadata
-            // per member; their static CFRs are unpadded.
-            m.naive_table_bytes += basis.table.size() * sizeof(double);
-            m.naive_metadata_bytes += meta * g.links.size();
-        }
-        m.naive_static_bytes +=
-            g.links.size() * 2 * num_sc_ * sizeof(double);
+        const StackedBasis& b = g.basis;
+        const std::size_t members = g.links.size();
+        std::size_t table = 0;
+        for (std::size_t a = 0; a < b.num_arrays(); ++a)
+            table += b.table_bytes(a);
+        m.shared_table_bytes += table;
+        m.shared_static_bytes += b.static_bytes();
+        m.shared_metadata_bytes +=
+            members * sizeof(std::size_t) + b.metadata_bytes();
+        // N per-link caches hold the same rows split across N tables
+        // (identical doubles) but duplicate the selection metadata and
+        // fingerprint per member; their static CFRs are unpadded.
+        m.naive_table_bytes += table;
+        m.naive_static_bytes += members * 2 * b.num_sc() * sizeof(double);
         m.naive_metadata_bytes +=
-            g.links.size() * kFingerprintSize * sizeof(double);
+            members * (b.metadata_bytes() +
+                       StackedBasis::kFingerprintSize * sizeof(double));
     }
     m.shared_metadata_bytes +=
         views_.size() * sizeof(LinkView) +
-        fingerprints_.size() * kFingerprintSize * sizeof(double);
+        fingerprints_.size() * StackedBasis::kFingerprintSize *
+            sizeof(double);
     return m;
 }
 

@@ -1,34 +1,20 @@
-// Shared multi-link channel basis: N links scored through one cache.
+// Shared multi-link channel cache: the transmitter-group indexer over the
+// factored basis (core/stacked_basis.hpp).
 //
 // A multi-user scene registers tens to hundreds of TX/RX pairs over the
-// same element field. Scoring a candidate with N independent LinkCaches
-// costs N row-selection walks per candidate — N passes over the radices /
-// row_offset metadata, N scattered table streams — even though every link
-// sharing a transmitter selects the *same* row indices (row selection
-// depends only on the candidate configuration and the array's element
-// arity, never on the receiver).
-//
-// MultiLinkCache groups links by transmitter (position + antenna facets)
-// and stores, per (group, array), ONE stacked wide basis:
-//
-//     wide row r = [ link a's row r | link b's row r | ... ]
-//
-// where each member link's segment is that link's ordinary LinkCache row
-// (re-radiation CFR of one element state, deinterleaved split-complex),
-// padded to link_stride = num_sc rounded up to util::kernels::kLanes.
-// A wide row's re segments for all members are contiguous, followed by
-// all im segments (the same [re | im] row blocking LinkCache uses, just
-// width = members * link_stride). One row selection then serves every
-// member link: the candidate accumulation walks the metadata once per
-// group and streams one contiguous table, so per-candidate selection cost
-// grows with distinct transmitters, not links.
-//
-// Bit-identity contract: the per-link segment of a group response is
-// bit-identical to the same link's LinkCache::response_into output. Both
-// copy the identical static CFR and add the identical per-element rows in
-// ascending element order through the element-wise kernels, which have no
-// cross-position reduction — the segment's position inside the wide row
-// cannot change its bits. tests/test_multilink.cpp asserts this.
+// same element field. Every link sharing a transmitter selects the SAME
+// row indices for a candidate (row selection depends only on the
+// configuration and the array's element arity, never on the receiver),
+// so MultiLinkCache groups links by transmitter (position + antenna
+// facets) and keeps ONE StackedBasis per group, members in ascending
+// link-id order. One row selection then serves every member: the
+// candidate accumulation walks the metadata once per group and streams
+// one contiguous table, so per-candidate selection cost grows with
+// distinct transmitters, not links. Group reads are sized to the padded
+// stack width (member slot s owns doubles [s * link_stride, + num_sc));
+// LinkCache is the one-member case of the same basis, so a member's
+// segment is bit-identical to that link's LinkCache::response_into
+// output (tests/test_multilink.cpp asserts this).
 //
 // Memory: the table bytes are essentially the SAME as N per-link caches
 // (every (link, element, state) row exists exactly once either way); the
@@ -37,16 +23,16 @@
 // row-selection work and memory-stream count. memory_stats() reports both
 // sides so benchmarks can print the honest comparison.
 //
-// Invalidation mirrors LinkCache: environment revision, per-array
-// structure revisions, and per-link endpoint fingerprints are checked on
-// warm(); config sweeps hit, geometry/fault edits rebuild.
+// Invalidation is the basis's: environment revision, per-array structure
+// revisions, and per-link endpoint fingerprints are checked on warm();
+// config sweeps hit, geometry/fault edits rebuild.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <vector>
 
+#include "core/stacked_basis.hpp"
 #include "press/config.hpp"
 #include "sdr/medium.hpp"
 #include "util/kernels.hpp"
@@ -63,10 +49,6 @@ public:
         : groups_(std::move(other.groups_)),
           views_(std::move(other.views_)),
           fingerprints_(std::move(other.fingerprints_)),
-          array_revisions_(std::move(other.array_revisions_)),
-          env_revision_(other.env_revision_),
-          num_sc_(other.num_sc_),
-          link_stride_(other.link_stride_),
           valid_(other.valid_),
           hits_(other.hits_.exchange(0, std::memory_order_relaxed)),
           rebuilds_(other.rebuilds_.exchange(0, std::memory_order_relaxed)),
@@ -78,10 +60,6 @@ public:
         groups_ = std::move(other.groups_);
         views_ = std::move(other.views_);
         fingerprints_ = std::move(other.fingerprints_);
-        array_revisions_ = std::move(other.array_revisions_);
-        env_revision_ = other.env_revision_;
-        num_sc_ = other.num_sc_;
-        link_stride_ = other.link_stride_;
         valid_ = other.valid_;
         other.valid_ = false;
         hits_.store(other.hits_.exchange(0, std::memory_order_relaxed),
@@ -181,9 +159,13 @@ public:
 
     std::size_t num_groups() const { return groups_.size(); }
     std::size_t num_links() const { return views_.size(); }
-    std::size_t num_sc() const { return num_sc_; }
+    std::size_t num_sc() const {
+        return groups_.empty() ? 0 : groups_.front().basis.num_sc();
+    }
     /// Doubles per member segment (num_sc padded to kernels::kLanes).
-    std::size_t link_stride() const { return link_stride_; }
+    std::size_t link_stride() const {
+        return groups_.empty() ? 0 : groups_.front().basis.stride();
+    }
     /// Doubles per component span of one wide row of `group`.
     std::size_t group_width(std::size_t group) const;
 
@@ -205,74 +187,24 @@ public:
         return s;
     }
 
+    /// The warm stacked basis of `group` — every read form (ranged,
+    /// base, row add, fused row delta) for batch drivers.
+    const StackedBasis& group_basis(std::size_t group) const;
+
 private:
-    /// One (group, array) stacked basis. Wide row r's re span starts at
-    /// table[r * 2 * width], its im span `width` doubles later; member
-    /// slot s owns doubles [s * link_stride, s * link_stride + num_sc)
-    /// of each span (the tail of the segment is zero padding).
-    struct GroupBasis {
-        std::vector<int> radices;             ///< states per element
-        std::vector<std::size_t> row_offset;  ///< element -> first row
-        std::size_t width = 0;                ///< doubles per component
-        std::vector<double> table;            ///< rows x [re | im] blocks
-
-        const double* row_re(std::size_t row) const {
-            return table.data() + row * 2 * width;
-        }
-        const double* row_im(std::size_t row) const {
-            return row_re(row) + width;
-        }
-        double* row_re(std::size_t row) {
-            return table.data() + row * 2 * width;
-        }
-        double* row_im(std::size_t row) { return row_re(row) + width; }
-    };
-
     struct Group {
         std::vector<std::size_t> links;  ///< member link ids, ascending
-        std::size_t width = 0;           ///< links.size() * link_stride
-        util::kernels::SplitVec h_static;  ///< wide static CFR
-        std::vector<GroupBasis> arrays;
+        StackedBasis basis;
     };
-
-    /// Full-link fingerprint (both endpoints), same facets as LinkCache.
-    static constexpr std::size_t kFingerprintSize = 18;
-    using Fingerprint = std::array<double, kFingerprintSize>;
 
     bool current(const sdr::Medium& medium,
                  const std::vector<sdr::Link>& links) const;
     void rebuild(const sdr::Medium& medium,
                  const std::vector<sdr::Link>& links);
 
-    static constexpr std::size_t kNoSkip = static_cast<std::size_t>(-1);
-    static void add_rows(util::kernels::SplitVec& h, const GroupBasis& basis,
-                         const surface::Config& config,
-                         std::size_t skip_element = kNoSkip);
-    /// Span-bounded add_rows: per member slot, only the doubles inside
-    /// each subcarrier span receive row terms (ascending element order
-    /// per double, so bit-identical to the full walk on those positions).
-    static void add_rows_ranges(util::kernels::SplitVec& h,
-                                const GroupBasis& basis,
-                                const surface::Config& config,
-                                std::size_t num_slots,
-                                std::size_t link_stride,
-                                const util::kernels::IndexRange* ranges,
-                                std::size_t num_ranges,
-                                std::size_t skip_element);
-
-    void accumulate_group(const sdr::Medium& medium, const Group& group,
-                          std::size_t array_id,
-                          const surface::Config& config,
-                          std::size_t skip_element,
-                          util::kernels::SplitVec& out) const;
-
     std::vector<Group> groups_;
-    std::vector<LinkView> views_;          ///< link id -> placement
-    std::vector<Fingerprint> fingerprints_;  ///< link id -> endpoints
-    std::vector<std::uint64_t> array_revisions_;
-    std::uint64_t env_revision_ = 0;
-    std::size_t num_sc_ = 0;
-    std::size_t link_stride_ = 0;
+    std::vector<LinkView> views_;  ///< link id -> placement
+    std::vector<StackedBasis::Fingerprint> fingerprints_;  ///< per link id
     bool valid_ = false;
     std::atomic<std::uint64_t> hits_{0};
     std::atomic<std::uint64_t> rebuilds_{0};

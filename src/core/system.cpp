@@ -173,9 +173,18 @@ control::OptimizationOutcome System::optimize_fast(
     const control::Searcher& searcher,
     const control::ControlPlaneModel& plane, double time_budget_s,
     util::Rng& rng, std::size_t threads) {
+    obs::TraceSpan span("core.system.optimize_fast");
+    return optimize_batched(/*shared=*/false, array_id, objective, searcher,
+                            plane, time_budget_s, rng, threads);
+}
+
+control::OptimizationOutcome System::optimize_batched(
+    bool shared, std::size_t array_id, const control::Objective& objective,
+    const control::Searcher& searcher,
+    const control::ControlPlaneModel& plane, double time_budget_s,
+    util::Rng& rng, std::size_t threads) {
     PRESS_EXPECTS(!links_.empty(), "register links before optimizing");
     PRESS_EXPECTS(time_budget_s > 0.0, "budget must be positive");
-    obs::TraceSpan span("core.system.optimize_fast");
     const surface::ConfigSpace space =
         medium_.array(array_id).config_space();
 
@@ -190,8 +199,11 @@ control::OptimizationOutcome System::optimize_fast(
     const std::size_t max_evals = std::max<std::size_t>(
         1, static_cast<std::size_t>(time_budget_s / trial_cost));
 
-    // Warm every link's basis so the batch workers only ever read.
-    {
+    // Warm the bases so the batch workers only ever read.
+    if (shared) {
+        obs::TraceSpan warm_span("core.system.warm_multilink");
+        multi_cache_.warm(medium_, links_);
+    } else {
         obs::TraceSpan warm_span("core.system.warm_cache");
         for (std::size_t i = 0; i < links_.size(); ++i)
             link_cache_.warm(medium_, i, links_[i]);
@@ -212,21 +224,30 @@ control::OptimizationOutcome System::optimize_fast(
     for (std::size_t i = 0; i < num_links; ++i)
         link_noise[i] = medium_.estimate_noise_variance(links_[i]);
 
-    // Objectives that reduce one link's SNR span through a min or mean
-    // skip the Observation entirely: response -> sounding draws -> fused
-    // reduction, all inside the worker's scratch arena.
+    // Scoring mode: a composite MultiLinkSpec (shared basis only) wins,
+    // then a single-link fused spec — response -> sounding draws -> fused
+    // reduction, no Observation — then the general Observation path.
+    const control::MultiLinkSpec* ml =
+        shared ? objective.multilink_spec() : nullptr;
+    if (ml != nullptr) {
+        for (const control::LinkTerm& t : ml->terms) {
+            PRESS_EXPECTS(t.link < num_links,
+                          "multi-link term names an unregistered link");
+            PRESS_EXPECTS(t.reduce != control::FusedSpec::Kind::kNone,
+                          "a multi-link term must reduce to a scalar");
+        }
+    }
     const control::FusedSpec fused = objective.fused_spec();
-    const bool fuse = fused.kind != control::FusedSpec::Kind::kNone &&
+    const bool fuse = ml == nullptr &&
+                      fused.kind != control::FusedSpec::Kind::kNone &&
                       fused.link < num_links;
-    const std::size_t responses_per_eval = fuse ? 1 : num_links;
-    const std::size_t repeats = sounding_repeats_;
 
     // Masked fused objectives (DESIGN.md §15) score only the RU mask's
-    // active tones: the basis accumulation is bounded to the subcarrier
-    // tiles the mask intersects (tile_spans), the sounding draws one
-    // noise sample per ACTIVE tone per repetition (ascending active-index
-    // order — identical rng consumption on the delta and recompute
-    // paths), and the reduction runs over the dense masked axis.
+    // active tones: every basis read is bounded to the subcarrier tiles
+    // the mask intersects (tile_spans), the sounding draws one noise
+    // sample per ACTIVE tone per repetition (ascending active-index order
+    // — identical rng consumption on the delta and recompute paths), and
+    // the reduction runs over the dense masked axis.
     const bool masked = fuse && fused.mask != nullptr;
     std::vector<util::kernels::IndexRange> mask_spans;
     const std::size_t* mask_idx = nullptr;
@@ -236,247 +257,233 @@ control::OptimizationOutcome System::optimize_fast(
                       "RU mask must span the numerology's used tones");
         PRESS_EXPECTS(fused.mask->num_active() > 0,
                       "RU mask must leave at least one active tone");
-        const std::vector<phy::RuRange> spans =
-            fused.mask->tile_spans(LinkCache::kTileSubcarriers);
-        mask_spans.reserve(spans.size());
-        for (const phy::RuRange& r : spans)
+        for (const phy::RuRange& r :
+             fused.mask->tile_spans(StackedBasis::kTileSubcarriers))
             mask_spans.push_back({r.first, r.last - r.first});
         mask_idx = fused.mask->active_indices().data();
         mask_m = fused.mask->active_indices().size();
     }
+    const util::kernels::IndexRange* spans =
+        masked ? mask_spans.data() : nullptr;
+    const std::size_t num_spans = mask_spans.size();
 
-    // Simulates the sounding of link `link_id` whose cached response is
-    // already in s.h: raw LTF draws (same r-outer / k-inner rng order as
-    // Medium::sound_with_response) then the combining kernel, leaving the
-    // combined estimate in s.mean_re/_im and s.noise_var.
-    const auto sound_scratch = [&link_noise, repeats](
-                                   std::size_t link_id, util::Rng& crng,
-                                   control::EvalScratch& s) {
-        const std::size_t n = s.h.size();
-        const double var = link_noise[link_id];
-        s.resize_tracked(s.raw_re, repeats * n);
-        s.resize_tracked(s.raw_im, repeats * n);
-        s.resize_tracked(s.mean_re, n);
-        s.resize_tracked(s.mean_im, n);
-        s.resize_tracked(s.noise_var, n);
-        for (std::size_t r = 0; r < repeats; ++r) {
-            double* rr = s.raw_re.data() + r * n;
-            double* ri = s.raw_im.data() + r * n;
-            for (std::size_t k = 0; k < n; ++k) {
-                const std::complex<double> w = crng.complex_gaussian(var);
-                rr[k] = s.h.re[k] + w.real();
-                ri[k] = s.h.im[k] + w.imag();
-            }
+    // The links a candidate scores: the composite's term links, the fused
+    // link, or every link.
+    std::vector<std::size_t> scored;
+    if (ml != nullptr) {
+        for (const control::LinkTerm& t : ml->terms) scored.push_back(t.link);
+    } else if (fuse) {
+        scored.push_back(fused.link);
+    } else {
+        for (std::size_t i = 0; i < num_links; ++i) scored.push_back(i);
+    }
+
+    // Candidate assembly — the only part the two bases do differently. A
+    // candidate reads reads[j] into worker buffer s.group_h[j], after which
+    // scored link i's response sits at placement[i]. Per-link: each
+    // scored link's own one-member basis. Shared: the stacked group of
+    // every transmitter with a scored link, ascending, so one row
+    // selection serves all of a group's members.
+    struct Placement {
+        std::size_t read = 0;
+        std::size_t offset = 0;
+    };
+    std::vector<const StackedBasis*> reads;
+    std::vector<Placement> placement(num_links);
+    std::size_t responses_per_eval = 0;
+    if (shared) {
+        std::vector<std::size_t> groups;
+        for (std::size_t i : scored)
+            groups.push_back(multi_cache_.view(i).group);
+        std::sort(groups.begin(), groups.end());
+        groups.erase(std::unique(groups.begin(), groups.end()), groups.end());
+        for (std::size_t g : groups) {
+            reads.push_back(&multi_cache_.group_basis(g));
+            responses_per_eval += multi_cache_.group_links(g).size();
         }
-        util::kernels::ltf_mean_var(
-            util::kernels::active(), s.raw_re.data(), s.raw_im.data(),
-            repeats, n, s.mean_re.data(), s.mean_im.data(),
-            s.noise_var.data());
+        for (std::size_t i : scored) {
+            const MultiLinkCache::LinkView view = multi_cache_.view(i);
+            placement[i] = {static_cast<std::size_t>(
+                                std::lower_bound(groups.begin(), groups.end(),
+                                                 view.group) -
+                                groups.begin()),
+                            view.offset};
+        }
+    } else {
+        for (std::size_t i : scored) {
+            placement[i] = {reads.size(), 0};
+            reads.push_back(&link_cache_.basis(i));
+        }
+        responses_per_eval = reads.size();
+    }
+    const std::size_t num_sc = medium_.ofdm().num_used();
+    const std::size_t repeats = sounding_repeats_;
+
+    // Sounds scored link `link` from its assembled response: raw LTF draws
+    // (same r-outer / k-inner rng order as Medium::sound_with_response,
+    // over the active tones only when masked) then the combining kernel,
+    // leaving m combined tones in s.mean_re/_im and s.noise_var.
+    const auto sound = [&](std::size_t link, util::Rng& crng,
+                           control::EvalScratch& s) {
+        const util::kernels::SplitVec& h = s.group_h[placement[link].read];
+        const double* hre = h.re.data() + placement[link].offset;
+        const double* him = h.im.data() + placement[link].offset;
+        const double var = link_noise[link];
+        const std::size_t m = masked ? mask_m : num_sc;
+        s.resize_tracked(s.raw_re, repeats * num_sc);
+        s.resize_tracked(s.raw_im, repeats * num_sc);
+        s.resize_tracked(s.mean_re, m);
+        s.resize_tracked(s.mean_im, m);
+        s.resize_tracked(s.noise_var, m);
+        for (std::size_t r = 0; r < repeats; ++r) {
+            double* rr = s.raw_re.data() + r * num_sc;
+            double* ri = s.raw_im.data() + r * num_sc;
+            const auto draw = [&](std::size_t k) {
+                const std::complex<double> w = crng.complex_gaussian(var);
+                rr[k] = hre[k] + w.real();
+                ri[k] = him[k] + w.imag();
+            };
+            if (masked)
+                for (std::size_t i = 0; i < m; ++i) draw(mask_idx[i]);
+            else
+                for (std::size_t k = 0; k < m; ++k) draw(k);
+        }
+        const util::kernels::Dispatch d = util::kernels::active();
+        if (masked)
+            util::kernels::masked_ltf_mean_var(
+                d, s.raw_re.data(), s.raw_im.data(), repeats, num_sc,
+                mask_idx, m, s.mean_re.data(), s.mean_im.data(),
+                s.noise_var.data());
+        else
+            util::kernels::ltf_mean_var(
+                d, s.raw_re.data(), s.raw_im.data(), repeats, num_sc,
+                s.mean_re.data(), s.mean_im.data(), s.noise_var.data());
+        return m;
     };
 
-    // Fused finish: sound the objective's link and reduce straight to the
-    // score (min exactly matches the Observation path; mean differs by
-    // blocked-vs-sequential association ulps, see FusedSpec).
-    const auto finish_fused = [&sound_scratch, fused](
-                                  util::Rng& crng, control::EvalScratch& s) {
-        sound_scratch(fused.link, crng, s);
+    // Fused reduction of the sounding in s to one SNR (dB): min exactly
+    // matches the Observation path, mean differs by blocked-vs-sequential
+    // association ulps (see FusedSpec).
+    const auto reduce = [](control::FusedSpec::Kind kind,
+                           const control::EvalScratch& s, std::size_t m) {
         const util::kernels::Dispatch d = util::kernels::active();
-        const std::size_t n = s.h.size();
-        return fused.kind == control::FusedSpec::Kind::kMinSnr
+        return kind == control::FusedSpec::Kind::kMinSnr
                    ? util::kernels::snr_db_min(
                          d, s.mean_re.data(), s.mean_im.data(),
-                         s.noise_var.data(), n, phy::kSnrCapDb,
+                         s.noise_var.data(), m, phy::kSnrCapDb,
                          phy::kSnrFloorDb)
                    : util::kernels::snr_db_mean(
                          d, s.mean_re.data(), s.mean_im.data(),
-                         s.noise_var.data(), n, phy::kSnrCapDb,
+                         s.noise_var.data(), m, phy::kSnrCapDb,
                          phy::kSnrFloorDb);
     };
 
-    // Masked fused finish: sound ONLY the active tones of the candidate
-    // response already in s.h (one gaussian per active tone per
-    // repetition, ascending active order), combine through the masked
-    // LTF kernel into dense length-m spans, and reduce densely. The
-    // blocked reduction runs over the dense masked axis, so the score is
-    // bit-identical to gathering the active tones first and running the
-    // unmasked fused finish on the dense vectors.
-    const auto finish_fused_masked = [&link_noise, repeats, fused, mask_idx,
-                                      mask_m](util::Rng& crng,
-                                              control::EvalScratch& s) {
-        const std::size_t n = s.h.size();
-        const double var = link_noise[fused.link];
-        s.resize_tracked(s.raw_re, repeats * n);
-        s.resize_tracked(s.raw_im, repeats * n);
-        s.resize_tracked(s.mean_re, mask_m);
-        s.resize_tracked(s.mean_im, mask_m);
-        s.resize_tracked(s.noise_var, mask_m);
-        for (std::size_t r = 0; r < repeats; ++r) {
-            double* rr = s.raw_re.data() + r * n;
-            double* ri = s.raw_im.data() + r * n;
-            for (std::size_t i = 0; i < mask_m; ++i) {
-                const std::size_t k = mask_idx[i];
-                const std::complex<double> w = crng.complex_gaussian(var);
-                rr[k] = s.h.re[k] + w.real();
-                ri[k] = s.h.im[k] + w.imag();
+    // Scores a candidate whose responses are assembled. Links are sounded
+    // in a fixed order — term order, the fused link, or ascending link id
+    // — so the rng draw sequence never depends on the basis, grouping,
+    // scheduling or kernel flavor.
+    const auto score = [&](util::Rng& crng,
+                           control::EvalScratch& s) -> double {
+        if (ml != nullptr) {
+            s.resize_tracked(s.term_utility, ml->terms.size());
+            for (std::size_t t = 0; t < ml->terms.size(); ++t) {
+                const control::LinkTerm& term = ml->terms[t];
+                const double v = reduce(term.reduce, s,
+                                        sound(term.link, crng, s));
+                s.term_utility[t] =
+                    control::MultiLinkObjective::term_utility(term, v);
             }
+            return control::MultiLinkObjective::combine(
+                *ml, s.term_utility.data());
         }
-        const util::kernels::Dispatch d = util::kernels::active();
-        util::kernels::masked_ltf_mean_var(
-            d, s.raw_re.data(), s.raw_im.data(), repeats, n, mask_idx,
-            mask_m, s.mean_re.data(), s.mean_im.data(), s.noise_var.data());
-        return fused.kind == control::FusedSpec::Kind::kMinSnr
-                   ? util::kernels::snr_db_min(
-                         d, s.mean_re.data(), s.mean_im.data(),
-                         s.noise_var.data(), mask_m, phy::kSnrCapDb,
-                         phy::kSnrFloorDb)
-                   : util::kernels::snr_db_mean(
-                         d, s.mean_re.data(), s.mean_im.data(),
-                         s.noise_var.data(), mask_m, phy::kSnrCapDb,
-                         phy::kSnrFloorDb);
+        if (fuse) return reduce(fused.kind, s, sound(fused.link, crng, s));
+        if (s.observation.link_snr_db.size() != num_links)
+            s.observation.link_snr_db.resize(num_links);
+        for (std::size_t i = 0; i < num_links; ++i) {
+            sound(i, crng, s);
+            std::vector<double>& snr = s.observation.link_snr_db[i];
+            s.resize_tracked(snr, num_sc);
+            util::kernels::snr_db_into(
+                util::kernels::active(), s.mean_re.data(), s.mean_im.data(),
+                s.noise_var.data(), num_sc, phy::kSnrCapDb, phy::kSnrFloorDb,
+                snr.data());
+        }
+        return objective.score(s.observation);
     };
-
-    // General finish: rebuild the Observation in the scratch arena — one
-    // response + sounding + SNR fill per link — and score it.
-    const auto finish_general =
-        [this, &objective, &sound_scratch, num_links, array_id](
-            const surface::Config& actual, util::Rng& crng,
-            control::EvalScratch& s) {
-            if (s.observation.link_snr_db.size() != num_links)
-                s.observation.link_snr_db.resize(num_links);
-            for (std::size_t i = 0; i < num_links; ++i) {
-                link_cache_.response_into(medium_, i, links_[i], array_id,
-                                          actual, s.h);
-                sound_scratch(i, crng, s);
-                std::vector<double>& snr = s.observation.link_snr_db[i];
-                s.resize_tracked(snr, s.h.size());
-                util::kernels::snr_db_into(
-                    util::kernels::active(), s.mean_re.data(),
-                    s.mean_im.data(), s.noise_var.data(), s.h.size(),
-                    phy::kSnrCapDb, phy::kSnrFloorDb, snr.data());
-            }
-            return objective.score(s.observation);
-        };
 
     control::BatchEvaluator pool(
-        [this, array_id, fm, &baseline, fuse, fused, masked, &mask_spans,
-         &finish_fused, &finish_fused_masked,
-         &finish_general](const surface::Config& c, util::Rng& crng,
-                          control::EvalScratch& s) {
+        [&](const surface::Config& c, util::Rng& crng,
+            control::EvalScratch& s) {
             const surface::Config* actual = &c;
             if (fm) {
                 fm->distorted_into(c, baseline, crng, s.config);
                 actual = &s.config;
             }
-            if (masked) {
-                link_cache_.response_ranges_into(
-                    medium_, fused.link, links_[fused.link], array_id,
-                    *actual, mask_spans.data(), mask_spans.size(), s.h);
-                return finish_fused_masked(crng, s);
-            }
-            if (fuse) {
-                link_cache_.response_into(medium_, fused.link,
-                                          links_[fused.link], array_id,
-                                          *actual, s.h);
-                return finish_fused(crng, s);
-            }
-            return finish_general(*actual, crng, s);
+            // Sized once per worker; the buffers inside grow to the read
+            // width on first use and are reused afterwards.
+            if (s.group_h.size() != reads.size())
+                s.group_h.resize(reads.size());
+            for (std::size_t j = 0; j < reads.size(); ++j)
+                reads[j]->read(medium_, array_id, *actual,
+                               StackedBasis::kNoSkip, spans, num_spans,
+                               s.group_h[j]);
+            return score(crng, s);
         },
         rng.engine()(), threads);
+    // Shard the shared path in (candidate x link) tiles: a 32-link
+    // candidate carries 32 tiles of work, so claims stay small enough to
+    // balance the tail.
+    if (shared) pool.set_task_weight(responses_per_eval);
 
-    // Coordinate sweeps share per-coordinate base responses (the swept
-    // element's row excluded) built once here, outside the workers; each
-    // candidate then costs one copy plus one row-add. With the delta path
-    // disabled (PRESS_DELTA=0) workers recompute the base per candidate —
-    // same arithmetic, same bits, no cache.
+    // Coordinate sweeps share per-read base responses (the swept element's
+    // row excluded) built once per sweep outside the workers; each
+    // candidate then costs one fused base-plus-row pass. With the delta
+    // path disabled (PRESS_DELTA=0) workers recompute the base per
+    // candidate — the swept row is added last either way, so the bits
+    // are the same.
     const bool delta = control::coordinate_delta_enabled();
-    std::vector<util::kernels::SplitVec> coord_base(num_links);
-    pool.set_coordinate_score(
-        [this, array_id, fuse, fused, masked, &mask_spans, num_links, delta,
-         &coord_base, &objective, &sound_scratch, &finish_fused,
-         &finish_fused_masked](
-            const control::CoordinateBatch& cb, std::size_t idx,
-            util::Rng& crng, control::EvalScratch& s) {
-            const int state = (*cb.states)[idx];
-            const util::kernels::Dispatch d = util::kernels::active();
-            const auto load_candidate = [&](std::size_t link_id) {
-                if (delta) {
-                    // Fused delta: candidate = base + swept row in one
-                    // pass — bit-identical to copy-then-add (same single
-                    // addition per tone), 60% of the memory traffic.
-                    const util::kernels::SplitVec& base =
-                        coord_base[link_id];
-                    s.resize_tracked(s.h, base.size());
-                    link_cache_.element_row_delta(link_id, array_id,
-                                                  cb.element, state, base,
-                                                  s.h);
-                } else {
-                    link_cache_.response_base_into(
-                        medium_, link_id, links_[link_id], array_id,
-                        *cb.base, cb.element, s.h);
-                    link_cache_.accumulate_element_row(
-                        link_id, array_id, cb.element, state, s.h);
-                }
-            };
-            if (masked) {
-                // Tile-bounded delta sweep: the fused base-plus-row pass
-                // and the base recompute both walk only the mask's tile
-                // spans. The swept row still combines with the base as
-                // the last addition on each tone, so the delta and
-                // recompute paths agree bitwise on every span double.
-                if (delta) {
-                    const util::kernels::SplitVec& base =
-                        coord_base[fused.link];
-                    s.resize_tracked(s.h, base.size());
-                    link_cache_.element_row_delta_ranges(
-                        fused.link, array_id, cb.element, state,
-                        mask_spans.data(), mask_spans.size(), base, s.h);
-                } else {
-                    link_cache_.response_base_ranges_into(
-                        medium_, fused.link, links_[fused.link], array_id,
-                        *cb.base, cb.element, mask_spans.data(),
-                        mask_spans.size(), s.h);
-                    link_cache_.accumulate_element_row_ranges(
-                        fused.link, array_id, cb.element, state,
-                        mask_spans.data(), mask_spans.size(), s.h);
-                }
-                return finish_fused_masked(crng, s);
+    std::vector<util::kernels::SplitVec> coord_base(reads.size());
+    pool.set_coordinate_score([&](const control::CoordinateBatch& cb,
+                                  std::size_t idx, util::Rng& crng,
+                                  control::EvalScratch& s) {
+        const int state = (*cb.states)[idx];
+        if (s.group_h.size() != reads.size()) s.group_h.resize(reads.size());
+        for (std::size_t j = 0; j < reads.size(); ++j) {
+            util::kernels::SplitVec& h = s.group_h[j];
+            if (delta) {
+                s.resize_tracked(h, coord_base[j].size());
+                reads[j]->row_delta(array_id, cb.element, state, spans,
+                                    num_spans, coord_base[j], h);
+            } else {
+                reads[j]->read(medium_, array_id, *cb.base, cb.element,
+                               spans, num_spans, h);
+                reads[j]->add_row(array_id, cb.element, state, spans,
+                                  num_spans, h);
             }
-            if (fuse) {
-                load_candidate(fused.link);
-                return finish_fused(crng, s);
-            }
-            if (s.observation.link_snr_db.size() != num_links)
-                s.observation.link_snr_db.resize(num_links);
-            for (std::size_t i = 0; i < num_links; ++i) {
-                load_candidate(i);
-                sound_scratch(i, crng, s);
-                std::vector<double>& snr = s.observation.link_snr_db[i];
-                s.resize_tracked(snr, s.h.size());
-                util::kernels::snr_db_into(
-                    d, s.mean_re.data(), s.mean_im.data(),
-                    s.noise_var.data(), s.h.size(), phy::kSnrCapDb,
-                    phy::kSnrFloorDb, snr.data());
-            }
-            return objective.score(s.observation);
-        });
+        }
+        return score(crng, s);
+    });
 
     control::OptimizationOutcome outcome;
     outcome.trial_cost_s = trial_cost;
 
+    // Every cached read inside a batch is a hit by the warm()
+    // precondition; fold them at batch granularity so the per-call path
+    // stays instrumentation-free, then price the batch on the sim clock.
     control::SimClock clock;
+    const auto charge = [&](std::size_t candidates) {
+        const std::uint64_t hits =
+            static_cast<std::uint64_t>(candidates) * responses_per_eval;
+        if (shared)
+            multi_cache_.note_batch_hits(hits);
+        else
+            link_cache_.note_batch_hits(hits);
+        clock.advance(trial_cost * static_cast<double>(candidates));
+    };
     const control::BatchEvalFn eval =
-        [this, &pool, &clock, trial_cost, responses_per_eval](
-            const std::vector<surface::Config>& batch) {
+        [&](const std::vector<surface::Config>& batch) {
             std::vector<double> scores = pool.evaluate(batch);
-            // Every cached read inside the batch is a hit by the warm()
-            // precondition; fold them at batch granularity so the
-            // per-call path stays instrumentation-free. A candidate reads
-            // one response per scored link (one when the objective is
-            // fused), however it was assembled.
-            link_cache_.note_batch_hits(
-                static_cast<std::uint64_t>(batch.size()) *
-                responses_per_eval);
-            clock.advance(trial_cost * static_cast<double>(batch.size()));
+            charge(batch.size());
             return scores;
         };
     // Coordinate sweeps bypass full-configuration assembly, but only when
@@ -485,40 +492,18 @@ control::OptimizationOutcome System::optimize_fast(
     // base-plus-one-row arithmetic cannot represent.
     const control::CoordinateEvalFn coord_eval =
         fm ? control::CoordinateEvalFn{}
-           : control::CoordinateEvalFn(
-                 [this, &pool, &clock, trial_cost, responses_per_eval,
-                  delta, fuse, fused, masked, &mask_spans, num_links,
-                  array_id, &coord_base](
-                     const surface::Config& base, std::size_t element,
-                     const std::vector<int>& states) {
-                     if (delta) {
-                         if (masked)
-                             link_cache_.response_base_ranges_into(
-                                 medium_, fused.link, links_[fused.link],
-                                 array_id, base, element,
-                                 mask_spans.data(), mask_spans.size(),
-                                 coord_base[fused.link]);
-                         else if (fuse)
-                             link_cache_.response_base_into(
-                                 medium_, fused.link, links_[fused.link],
-                                 array_id, base, element,
-                                 coord_base[fused.link]);
-                         else
-                             for (std::size_t i = 0; i < num_links; ++i)
-                                 link_cache_.response_base_into(
-                                     medium_, i, links_[i], array_id, base,
-                                     element, coord_base[i]);
-                     }
-                     control::CoordinateBatch cb{&base, element, &states};
-                     std::vector<double> scores =
-                         pool.evaluate_coordinate(cb);
-                     link_cache_.note_batch_hits(
-                         static_cast<std::uint64_t>(states.size()) *
-                         responses_per_eval);
-                     clock.advance(trial_cost *
-                                   static_cast<double>(states.size()));
-                     return scores;
-                 });
+           : control::CoordinateEvalFn([&](const surface::Config& base,
+                                           std::size_t element,
+                                           const std::vector<int>& states) {
+                 if (delta)
+                     for (std::size_t j = 0; j < reads.size(); ++j)
+                         reads[j]->read(medium_, array_id, base, element,
+                                        spans, num_spans, coord_base[j]);
+                 control::CoordinateBatch cb{&base, element, &states};
+                 std::vector<double> scores = pool.evaluate_coordinate(cb);
+                 charge(states.size());
+                 return scores;
+             });
     const control::StopFn stop = [&clock, time_budget_s]() {
         return clock.now_s() >= time_budget_s;
     };

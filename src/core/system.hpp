@@ -136,11 +136,11 @@ public:
     /// fairness, QoS floors, nulling; see control::MultiLinkProblem) are
     /// scored fused inside the worker arenas: group responses -> per-term
     /// sounding + reduction -> combinator, no Observation materialized.
-    /// Single-link fused objectives and general objectives work too (the
-    /// latter materializes the Observation from the stacked responses).
-    /// Same determinism contract as optimize_fast: bit-identical results
-    /// for any thread count and kernel flavor; the winner is applied.
-    /// Defined in core/multilink.cpp.
+    /// Single-link fused (RU-masked included) and general objectives work
+    /// too, and return optimize_fast's result bit for bit: both run the
+    /// same batched driver. Same determinism contract as optimize_fast:
+    /// bit-identical results for any thread count and kernel flavor; the
+    /// winner is applied. Defined in core/multilink.cpp.
     control::OptimizationOutcome optimize_multilink(
         std::size_t array_id, const control::Objective& objective,
         const control::Searcher& searcher,
@@ -171,6 +171,17 @@ public:
     }
 
 private:
+    /// The one batched driver behind optimize_fast (`shared` false: each
+    /// scored link's own LinkCache basis) and optimize_multilink (`shared`
+    /// true: the MultiLinkCache transmitter groups, composite objectives
+    /// scored fused). Everything but candidate assembly is common.
+    control::OptimizationOutcome optimize_batched(
+        bool shared, std::size_t array_id,
+        const control::Objective& objective,
+        const control::Searcher& searcher,
+        const control::ControlPlaneModel& plane, double time_budget_s,
+        util::Rng& rng, std::size_t threads);
+
     sdr::Medium medium_;
     std::vector<sdr::Link> links_;
     std::size_t sounding_repeats_ = 4;

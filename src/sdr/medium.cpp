@@ -38,15 +38,21 @@ const std::vector<em::Path>& Medium::environment_paths(
     const Link& link) const {
     if (env_cache_revision_ != environment_.revision()) {
         env_path_cache_.clear();
+        env_path_order_.clear();
         env_cache_revision_ = environment_.revision();
     }
     const EndpointKey key = endpoint_key(link);
     auto it = env_path_cache_.find(key);
     if (it == env_path_cache_.end()) {
+        if (env_path_cache_.size() == kEnvPathMemoCapacity) {
+            env_path_cache_.erase(env_path_order_.front());
+            env_path_order_.pop_front();
+        }
         it = env_path_cache_
                  .emplace(key, environment_.trace(link.tx, link.rx,
                                                   params_.carrier_hz()))
                  .first;
+        env_path_order_.push_back(key);
     }
     return it->second;
 }

@@ -9,6 +9,7 @@
 
 #include <array>
 #include <cstddef>
+#include <deque>
 #include <map>
 #include <vector>
 
@@ -57,7 +58,17 @@ public:
     /// The environment-only paths of a link (direct + walls + scatterers +
     /// static diffuse), cached per endpoint pair; array re-radiation is
     /// excluded. The configuration-independent half of a factored channel.
+    /// The reference stays valid until the environment mutates or a call
+    /// for a pair not in the memo evicts it.
     const std::vector<em::Path>& environment_paths(const Link& link) const;
+
+    /// Endpoint pairs the environment path memo holds at most. Well above
+    /// the largest link count any scene registers, so a static scene never
+    /// evicts; under mobility each new pair evicts the oldest-traced one,
+    /// which bounds the memo (re-tracing a pair gives the same paths).
+    static constexpr std::size_t kEnvPathMemoCapacity = 256;
+    /// Endpoint pairs currently memoised.
+    std::size_t env_path_memo_size() const { return env_path_cache_.size(); }
 
     /// Noise-free channel frequency response on the used subcarriers.
     util::CVec frequency_response(const Link& link) const;
@@ -108,6 +119,8 @@ private:
     phy::OfdmParams params_;
     std::vector<surface::Array> arrays_;
     mutable std::map<EndpointKey, std::vector<em::Path>> env_path_cache_;
+    /// Memo keys in insertion order: the eviction queue.
+    mutable std::deque<EndpointKey> env_path_order_;
     /// Environment revision the path cache was filled against; a mismatch
     /// (scene mutated through any Environment mutator) drops the cache.
     mutable std::uint64_t env_cache_revision_ = 0;

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "control/batch.hpp"
@@ -210,6 +211,59 @@ TEST(MultiLinkCacheTest, DeltaPathMatchesPerLinkDelta) {
                             << "link " << id << " element " << e
                             << " state " << s;
                     }
+                }
+            }
+        }
+    }
+}
+
+// The group side shares LinkCache's tile-bounded and fused forms: a
+// ranged base plus a fused ranged row delta over a group's stack writes,
+// in every member segment, exactly the span doubles of that link's own
+// LinkCache ranged base + delta.
+TEST(MultiLinkCacheTest, RangedGroupDeltaMatchesPerLinkDelta) {
+    MultiLinkScenario scenario = make_multi_link_scenario(17, small_params());
+    System& system = scenario.system;
+    const sdr::Medium& medium = system.medium();
+    const std::size_t array_id = scenario.array_id;
+    const surface::ConfigSpace space = medium.array(array_id).config_space();
+
+    system.warm_multilink();
+    const MultiLinkCache& shared = system.multilink_cache();
+    LinkCache naive;
+    for (std::size_t id = 0; id < system.num_links(); ++id)
+        naive.warm(medium, id, system.link(id));
+
+    const std::vector<util::kernels::IndexRange> spans = {{0, 16}, {32, 20}};
+    util::Rng rng(37);
+    const surface::Config base = random_config(space, rng);
+    util::kernels::SplitVec group_base, group_cand, link_base, link_cand;
+    for (std::size_t g = 0; g < shared.num_groups(); ++g) {
+        const StackedBasis& stack = shared.group_basis(g);
+        for (std::size_t e = 0; e < base.size(); ++e) {
+            stack.read(medium, array_id, base, e, spans.data(), spans.size(),
+                       group_base);
+            group_cand.assign_zero(group_base.size());
+            for (int s = 0; s < space.radices()[e]; ++s) {
+                stack.row_delta(array_id, e, s, spans.data(), spans.size(),
+                                group_base, group_cand);
+                for (const std::size_t id : shared.group_links(g)) {
+                    naive.response_base_ranges_into(
+                        medium, id, system.link(id), array_id, base, e,
+                        spans.data(), spans.size(), link_base);
+                    link_cand.assign_zero(link_base.size());
+                    naive.element_row_delta_ranges(id, array_id, e, s,
+                                                   spans.data(), spans.size(),
+                                                   link_base, link_cand);
+                    const std::size_t offset = shared.view(id).offset;
+                    for (const util::kernels::IndexRange& r : spans)
+                        for (std::size_t k = r.offset; k < r.offset + r.len;
+                             ++k) {
+                            EXPECT_EQ(group_cand.re[offset + k],
+                                      link_cand.re[k]);
+                            EXPECT_EQ(group_cand.im[offset + k],
+                                      link_cand.im[k]);
+                        }
                 }
             }
         }
@@ -426,6 +480,95 @@ TEST(MultiLinkSearch, SharedBasisStaysWarmAcrossSearch) {
         scenario.system.multilink_cache_stats();
     EXPECT_EQ(stats.rebuilds, 1u);
     EXPECT_GT(stats.hits, 0u);
+}
+
+// optimize_fast and optimize_multilink are two front ends of one batched
+// driver: for any single-link objective — fused or general, masked or
+// not — both land on the same winner with the same scores, evaluation
+// count and rng consumption, bit for bit, whichever basis (per-link
+// entries or stacked transmitter groups) assembles the candidates.
+TEST(MultiLinkSearch, MatchesOptimizeFastForSingleLinkObjectives) {
+    struct Scene {
+        const char* name;
+        System system;
+        std::size_t array_id;
+    };
+    LinkScenario study = make_link_scenario(100, /*line_of_sight=*/false);
+    MultiLinkScenario multi = make_multi_link_scenario(302);
+    WidebandScenario wide = make_wideband_scenario(11);
+    Scene scenes[] = {{"study", std::move(study.system), study.array_id},
+                      {"32-link", std::move(multi.system), multi.array_id},
+                      {"wideband", std::move(wide.system), wide.array_id}};
+
+    const ControlPlaneModel plane = ControlPlaneModel::fast();
+    const std::size_t half = scenes[0].system.medium().ofdm().num_used() / 2;
+    const control::MinSnrObjective min_snr;
+    const control::MeanSnrObjective mean_snr;
+    const control::ThroughputObjective throughput;
+    const control::WeightedBandObjective bands(
+        {{0, 0, half, 1.0}, {0, half, 2 * half, -0.5}});
+    const control::MaskedSnrObjective masked(wide.mask,
+                                             FusedSpec::Kind::kMinSnr);
+    const GreedyCoordinateDescent greedy;
+    const control::RandomSearcher random;
+    const MajorityVoteSearcher vote(16);
+
+    struct Case {
+        std::size_t scene;
+        const control::Objective& objective;
+        const control::Searcher& searcher;
+        std::size_t threads;
+        double budget_s;
+    };
+    const control::Objective* objectives[] = {&min_snr, &mean_snr,
+                                              &throughput, &bands};
+    const control::Searcher* searchers[] = {&greedy, &random, &vote};
+    std::vector<Case> cases;
+    for (std::size_t scene = 0; scene < 2; ++scene)
+        for (const control::Objective* objective : objectives)
+            for (const control::Searcher* searcher : searchers)
+                for (const std::size_t threads : {1u, 3u})
+                    cases.push_back({scene, *objective, *searcher, threads,
+                                     0.0});
+    // The RU-masked objective: only the mask's active tones are scored.
+    cases.push_back({2, masked, greedy, 2, 0.05});
+
+    for (const Case& c : cases) {
+        Scene& scene = scenes[c.scene];
+        const surface::Config initial =
+            scene.system.medium().array(scene.array_id).current_config();
+        control::SetConfig probe;
+        probe.config = initial;
+        const double budget_s =
+            c.budget_s > 0.0
+                ? c.budget_s
+                : 24.0 * plane.config_trial_time_s(
+                             probe, scene.system.num_links(),
+                             scene.system.medium().ofdm().num_used());
+        const auto run = [&](bool shared, util::Rng& rng) {
+            scene.system.apply(scene.array_id, initial);
+            return shared ? scene.system.optimize_multilink(
+                                scene.array_id, c.objective, c.searcher,
+                                plane, budget_s, rng, c.threads)
+                          : scene.system.optimize_fast(
+                                scene.array_id, c.objective, c.searcher,
+                                plane, budget_s, rng, c.threads);
+        };
+        util::Rng fast_rng(5), shared_rng(5);
+        const SearchResult fast = run(false, fast_rng).search;
+        const SearchResult shared = run(true, shared_rng).search;
+        const std::string label = std::string(scene.name) + " / " +
+                                  c.objective.name() + " / " +
+                                  c.searcher.name() + " / " +
+                                  std::to_string(c.threads) + " threads";
+        EXPECT_GT(fast.evaluations, 0u) << label;
+        EXPECT_EQ(fast.best_config, shared.best_config) << label;
+        EXPECT_EQ(fast.best_score, shared.best_score) << label;
+        EXPECT_EQ(fast.best_score_remeasured, shared.best_score_remeasured)
+            << label;
+        EXPECT_EQ(fast.evaluations, shared.evaluations) << label;
+        EXPECT_TRUE(fast_rng.engine() == shared_rng.engine()) << label;
+    }
 }
 
 // Composite presets ride the existing wire format: selectors >= 3

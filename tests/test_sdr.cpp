@@ -125,6 +125,46 @@ TEST(Medium, CachedTraceIsStable) {
     EXPECT_LT(util::max_abs_diff(a, b), 1e-15);
 }
 
+// The environment path memo stays bounded however far an endpoint walks,
+// and a pair traced again after its eviction gets the same paths, bit for
+// bit.
+TEST(Medium, EnvPathMemoIsBoundedAndRetracesIdentically) {
+    em::Environment env;
+    em::Scatterer s;
+    s.position = {5, 3, 0};
+    s.reflectivity = {0.5, 0.0};
+    env.add_scatterer(s);
+    const Medium medium(std::move(env), phy::OfdmParams::wifi20());
+    const Link first = simple_link(10.0);
+    const std::vector<em::Path> traced = medium.environment_paths(first);
+    ASSERT_GT(traced.size(), 1u);
+
+    Link walker = first;
+    for (std::size_t step = 0; step < 3 * Medium::kEnvPathMemoCapacity;
+         ++step) {
+        walker.rx.position.y += 0.002;
+        medium.environment_paths(walker);
+        ASSERT_LE(medium.env_path_memo_size(), Medium::kEnvPathMemoCapacity);
+    }
+    EXPECT_EQ(medium.env_path_memo_size(), Medium::kEnvPathMemoCapacity);
+
+    const std::vector<em::Path> retraced = medium.environment_paths(first);
+    ASSERT_EQ(retraced.size(), traced.size());
+    for (std::size_t i = 0; i < traced.size(); ++i) {
+        EXPECT_EQ(retraced[i].gain, traced[i].gain);
+        EXPECT_EQ(retraced[i].delay_s, traced[i].delay_s);
+        EXPECT_EQ(retraced[i].departure.x, traced[i].departure.x);
+        EXPECT_EQ(retraced[i].departure.y, traced[i].departure.y);
+        EXPECT_EQ(retraced[i].departure.z, traced[i].departure.z);
+        EXPECT_EQ(retraced[i].arrival.x, traced[i].arrival.x);
+        EXPECT_EQ(retraced[i].arrival.y, traced[i].arrival.y);
+        EXPECT_EQ(retraced[i].arrival.z, traced[i].arrival.z);
+        EXPECT_EQ(retraced[i].doppler_hz, traced[i].doppler_hz);
+        EXPECT_EQ(retraced[i].kind, traced[i].kind);
+        EXPECT_EQ(retraced[i].element_index, traced[i].element_index);
+    }
+}
+
 TEST(Medium, SoundMimoShape) {
     Medium medium = free_space_medium();
     std::vector<em::RadiatingEndpoint> txs = {
