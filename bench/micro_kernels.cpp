@@ -177,14 +177,15 @@ void BM_CachedRecombination(benchmark::State& state) {
     // Cycle candidates odometer-style: space.size() overflows 64 bits at
     // 64 four-state elements, so never enumerate by flat index here.
     surface::Config c(space.num_elements(), 0);
+    util::kernels::SplitVec h;
     for (auto _ : state) {
         for (std::size_t e = 0; e < c.size(); ++e) {
             if (++c[e] < space.radices()[e]) break;
             c[e] = 0;
         }
-        auto h = cache.response_with(medium, scenario.link_id, link,
-                                     scenario.array_id, c);
-        benchmark::DoNotOptimize(h.data());
+        cache.response_into(medium, scenario.link_id, link,
+                            scenario.array_id, c, h);
+        benchmark::DoNotOptimize(h.re.data());
     }
 }
 BENCHMARK(BM_CachedRecombination)->Arg(3)->Arg(16)->Arg(64);
@@ -262,8 +263,8 @@ void BM_DeltaCandidate(benchmark::State& state) {
         util::kernels::copy(util::kernels::active(), base_h.re.data(),
                             base_h.im.data(), h.re.data(), h.im.data(),
                             base_h.size());
-        cache.accumulate_element_row(scenario.link_id, scenario.array_id,
-                                     0, s, h);
+        cache.basis(scenario.link_id)
+            .add_row(scenario.array_id, 0, s, nullptr, 0, h);
         benchmark::DoNotOptimize(h.re.data());
     }
 }

@@ -9,8 +9,9 @@
 //   resynth  CFR synthesis from a warm path resolve (the pre-cache
 //            System::observe hot path: environment paths memoized, array
 //            paths re-derived and every path re-synthesized per call),
-//   cached   the legacy AoS recombination H = H_static + B.g(config)
-//            through response_with (allocates its result per call),
+//   cached   the AoS form of the recombination H = H_static + B.g(config):
+//            response_into then an interleave into a fresh CVec per call
+//            (what the retired LinkCache::response_with did),
 //   soa      the same recombination through response_into into a reused
 //            split-complex scratch (the batch workers' full-gather path),
 //   delta    one coordinate-sweep candidate on the incremental path:
@@ -35,7 +36,7 @@
 // evaluations). A multi-user fig-harmonization scene (32 links, 4 APs,
 // one shared element field) times the MultiLinkCache's wide group
 // gathers against 32 naive per-link reads under the same allocation
-// gate, and runs two optimize_multilink max-min fairness searches end
+// gate, and runs two optimize_fast max-min fairness searches end
 // to end. A wideband scene (Wi-Fi 6E 160 MHz / Wi-Fi 7 320 MHz, 996 and
 // 1960 used tones under a punctured RU mask) times the tone-axis regime:
 // full vs tile-bounded masked gathers and deltas, planned FFT execution,
@@ -92,7 +93,13 @@
 // ------------------------------------------------------------------
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
-}
+
+// Every replacement delete frees through this one out-of-line call. Were
+// std::free inlined into a std::allocator deallocate, GCC would see it
+// pair with the allocator's ::operator new and report a mismatched
+// new/delete (the pairing is right: both replacements use malloc/free).
+[[gnu::noinline]] void release(void* p) noexcept { std::free(p); }
+}  // namespace
 
 void* operator new(std::size_t size) {
     g_allocations.fetch_add(1, std::memory_order_relaxed);
@@ -117,23 +124,23 @@ void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
 void* operator new[](std::size_t size, const std::nothrow_t& t) noexcept {
     return ::operator new(size, t);
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { release(p); }
+void operator delete[](void* p) noexcept { release(p); }
+void operator delete(void* p, std::size_t) noexcept { release(p); }
+void operator delete[](void* p, std::size_t) noexcept { release(p); }
+void operator delete(void* p, std::align_val_t) noexcept { release(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { release(p); }
 void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-    std::free(p);
+    release(p);
 }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-    std::free(p);
+    release(p);
 }
 void operator delete(void* p, const std::nothrow_t&) noexcept {
-    std::free(p);
+    release(p);
 }
 void operator delete[](void* p, const std::nothrow_t&) noexcept {
-    std::free(p);
+    release(p);
 }
 
 namespace {
@@ -223,16 +230,18 @@ SceneSnapshot snapshot_scene(const std::string& name, std::uint64_t seed) {
         const surface::ConfigSpace space = array.config_space();
         constexpr std::size_t kFoldBatch = 64;
         constexpr std::size_t kOverheadIters = 20000;
+        util::kernels::SplitVec h;
         const auto run = [&](bool telemetry_on, std::size_t iters) {
             obs::set_enabled(telemetry_on);
             auto t0 = Clock::now();
             for (std::size_t i = 0; i < iters; ++i) {
-                volatile double sink =
-                    cache
-                        .response_with(medium, scenario.link_id, link,
-                                       scenario.array_id,
-                                       space.at(i % space.size()))[0]
-                        .real();
+                cache.response_into(medium, scenario.link_id, link,
+                                    scenario.array_id,
+                                    space.at(i % space.size()), h);
+                util::CVec aos(h.size());
+                util::kernels::interleave(h.re.data(), h.im.data(),
+                                          aos.data(), h.size());
+                volatile double sink = aos[0].real();
                 (void)sink;
                 if (telemetry_on && (i + 1) % kFoldBatch == 0)
                     cache.note_batch_hits(kFoldBatch);
@@ -290,15 +299,15 @@ SceneSnapshot snapshot_scene(const std::string& name, std::uint64_t seed) {
                                  /*element=*/0, base);
         cand.resize(base.size());
         const int radix = space.radices()[0];
+        const core::StackedBasis& basis = cache.basis(scenario.link_id);
         armed = allocations();
         t0 = Clock::now();
         for (std::size_t i = 0; i < kEvalIters; ++i) {
             util::kernels::copy(util::kernels::active(), base.re.data(),
                                 base.im.data(), cand.re.data(),
                                 cand.im.data(), base.size());
-            cache.accumulate_element_row(scenario.link_id,
-                                         scenario.array_id, /*element=*/0,
-                                         static_cast<int>(i % radix), cand);
+            basis.add_row(scenario.array_id, /*element=*/0,
+                          static_cast<int>(i % radix), nullptr, 0, cand);
             volatile double sink = cand.re[0];
             (void)sink;
         }
@@ -952,12 +961,11 @@ MassiveSnapshot snapshot_massive(std::size_t n, std::uint64_t seed) {
     t0 = Clock::now();
     cache.warm(medium, scenario.link_id, link);
     snap.warm_ms = elapsed_us(t0, Clock::now(), 1) / 1000.0;
-    const core::LinkCache::BasisLayout layout =
-        cache.basis_layout(scenario.link_id, scenario.array_id);
-    snap.basis_rows = layout.rows;
-    snap.basis_row_stride = layout.row_stride;
-    snap.basis_mib =
-        static_cast<double>(layout.bytes) / (1024.0 * 1024.0);
+    const core::StackedBasis& basis = cache.basis(scenario.link_id);
+    snap.basis_rows = basis.rows(scenario.array_id);
+    snap.basis_row_stride = basis.stride();
+    snap.basis_mib = static_cast<double>(basis.table_bytes(scenario.array_id)) /
+                     (1024.0 * 1024.0);
 
     // Candidate configs drawn element-wise (2^n space: no enumeration).
     util::Rng cfg_rng(1234 + seed);
@@ -1004,9 +1012,8 @@ MassiveSnapshot snapshot_massive(std::size_t n, std::uint64_t seed) {
             util::kernels::copy(util::kernels::active(), base.re.data(),
                                 base.im.data(), cand.re.data(),
                                 cand.im.data(), base.size());
-            cache.accumulate_element_row(scenario.link_id,
-                                         scenario.array_id, /*element=*/0,
-                                         static_cast<int>(i % radix), cand);
+            basis.add_row(scenario.array_id, /*element=*/0,
+                          static_cast<int>(i % radix), nullptr, 0, cand);
             volatile double sink = cand.re[0];
             (void)sink;
         }
@@ -1119,7 +1126,7 @@ MassiveSnapshot snapshot_massive(std::size_t n, std::uint64_t seed) {
 // 16-element 4-phase panel, scored per-RU under a punctured mask
 // (DESIGN.md §15). Four per-candidate costs ride under the allocation
 // gate: the full-width SoA gather, the tile-bounded masked gather
-// (response_ranges_into over the mask's tile spans), the fused
+// (StackedBasis::read over the mask's tile spans), the fused
 // coordinate delta (element_row_delta: candidate = base + swept row in
 // one pass), and its tile-bounded form. A planned n-point FFT execution
 // loop covers the FftPlan cache's zero-steady-state-allocation claim.
@@ -1145,7 +1152,7 @@ struct WidebandSnapshot {
     std::size_t basis_rows = 0;
     double basis_mib = 0.0;
     double soa_eval_us = 0.0;     ///< full-width response_into
-    double masked_eval_us = 0.0;  ///< response_ranges_into, tile spans
+    double masked_eval_us = 0.0;  ///< tile-bounded basis read
     double delta_eval_us = 0.0;   ///< full-width base copy + one row-add
     double masked_delta_eval_us = 0.0;  ///< span copies + ranged row-add
     double plan_fwd_us = 0.0;     ///< planned n-point forward FFT
@@ -1196,11 +1203,10 @@ WidebandSnapshot snapshot_wideband(const char* band,
     t0 = Clock::now();
     cache.warm(medium, scenario.link_id, link);
     snap.warm_ms = elapsed_us(t0, Clock::now(), 1) / 1000.0;
-    const core::LinkCache::BasisLayout layout =
-        cache.basis_layout(scenario.link_id, scenario.array_id);
-    snap.basis_rows = layout.rows;
-    snap.basis_mib =
-        static_cast<double>(layout.bytes) / (1024.0 * 1024.0);
+    const core::StackedBasis& basis = cache.basis(scenario.link_id);
+    snap.basis_rows = basis.rows(scenario.array_id);
+    snap.basis_mib = static_cast<double>(basis.table_bytes(scenario.array_id)) /
+                     (1024.0 * 1024.0);
 
     // Candidate configs drawn element-wise (the 4^16 space is enumerable
     // but the massive idiom keeps the gate off ConfigSpace::at()).
@@ -1236,16 +1242,15 @@ WidebandSnapshot snapshot_wideband(const char* band,
         snap.sweep_allocs += allocations() - armed;
 
         util::kernels::SplitVec hm;
-        cache.response_ranges_into(medium, scenario.link_id, link,
-                                   scenario.array_id, configs[0],
-                                   spans.data(), spans.size(), hm);
+        basis.read(medium, scenario.array_id, configs[0],
+                   core::StackedBasis::kNoSkip, spans.data(), spans.size(),
+                   hm);
         armed = allocations();
         t0 = Clock::now();
         for (std::size_t i = 0; i < kEvalIters; ++i) {
-            cache.response_ranges_into(medium, scenario.link_id, link,
-                                       scenario.array_id,
-                                       configs[i % kConfigCycle],
-                                       spans.data(), spans.size(), hm);
+            basis.read(medium, scenario.array_id, configs[i % kConfigCycle],
+                       core::StackedBasis::kNoSkip, spans.data(),
+                       spans.size(), hm);
             volatile double sink = hm.re[spans[0].offset];
             (void)sink;
         }
@@ -1278,18 +1283,15 @@ WidebandSnapshot snapshot_wideband(const char* band,
         snap.sweep_allocs += allocations() - armed;
 
         util::kernels::SplitVec mbase, mcand;
-        cache.response_base_ranges_into(medium, scenario.link_id, link,
-                                        scenario.array_id, configs[0],
-                                        /*element=*/0, spans.data(),
-                                        spans.size(), mbase);
+        basis.read(medium, scenario.array_id, configs[0], /*element=*/0,
+                   spans.data(), spans.size(), mbase);
         mcand.resize(mbase.size());
         armed = allocations();
         t0 = Clock::now();
         for (std::size_t i = 0; i < kEvalIters; ++i) {
-            cache.element_row_delta_ranges(
-                scenario.link_id, scenario.array_id, /*element=*/0,
-                static_cast<int>(i % radix), spans.data(), spans.size(),
-                mbase, mcand);
+            basis.row_delta(scenario.array_id, /*element=*/0,
+                            static_cast<int>(i % radix), spans.data(),
+                            spans.size(), mbase, mcand);
             volatile double sink = mcand.re[spans[0].offset];
             (void)sink;
         }
@@ -1342,7 +1344,7 @@ WidebandSnapshot snapshot_wideband(const char* band,
         const control::GreedyCoordinateDescent searcher;
         {
             const control::MaskedSnrObjective objective(
-                scenario.mask, control::FusedSpec::Kind::kMinSnr,
+                scenario.mask, control::Reduce::kMinSnr,
                 scenario.link_id);
             util::Rng rng(9300 + seed);
             t0 = Clock::now();
@@ -1376,8 +1378,9 @@ WidebandSnapshot snapshot_wideband(const char* band,
 // naive form of 32 independent LinkCache::response_into reads (one row
 // selection per link). Both loops score the identical max-min fused
 // reduction and run under the allocation gate. Two end-to-end
-// optimize_multilink searches (greedy delta sweeps and majority vote,
-// both through the max-min fairness combinator) close the section.
+// optimize_fast searches over the shared basis (greedy delta sweeps and
+// majority vote, both through the max-min fairness combinator) close
+// the section.
 struct HarmonizationSnapshot {
     std::size_t num_links = 0;
     std::size_t num_groups = 0;
@@ -1505,7 +1508,7 @@ HarmonizationSnapshot snapshot_harmonization(std::uint64_t seed) {
         snap.sweep_allocs += allocations() - armed;
     }
 
-    {   // End-to-end composite searches through optimize_multilink: the
+    {   // End-to-end composite searches through optimize_fast: the
         // max-min fairness combinator under simulated budgets priced for
         // a 32-link sounding cycle.
         const control::ControlPlaneModel plane =
@@ -1523,7 +1526,7 @@ HarmonizationSnapshot snapshot_harmonization(std::uint64_t seed) {
             core::MultiLinkScenario fresh =
                 core::make_multi_link_scenario(seed);
             t0 = Clock::now();
-            const auto outcome = fresh.system.optimize_multilink(
+            const auto outcome = fresh.system.optimize_fast(
                 fresh.array_id, *objective, searcher, plane,
                 256.0 * trial_s, rng);
             snap.greedy_ms = elapsed_us(t0, Clock::now(), 1) / 1000.0;
@@ -1536,7 +1539,7 @@ HarmonizationSnapshot snapshot_harmonization(std::uint64_t seed) {
             core::MultiLinkScenario fresh =
                 core::make_multi_link_scenario(seed);
             t0 = Clock::now();
-            const auto outcome = fresh.system.optimize_multilink(
+            const auto outcome = fresh.system.optimize_fast(
                 fresh.array_id, *objective, searcher, plane,
                 128.0 * trial_s, rng);
             snap.majority_ms = elapsed_us(t0, Clock::now(), 1) / 1000.0;

@@ -5,8 +5,8 @@
 // 16-element field. A single configuration must serve everyone at once,
 // so "best" stops being a number and becomes a policy choice. This
 // example runs the same scene under the two canonical composite
-// objectives (control::MultiLinkProblem, scored through the shared
-// multi-link basis of System::optimize_multilink) and prints the
+// objectives (control::MultiLinkProblem, which System::optimize_fast
+// scores through the shared multi-link basis) and prints the
 // Pareto-style trade between them:
 //
 //   weighted-sum  maximize the aggregate mean SNR: highest total
@@ -85,7 +85,7 @@ int main() {
         util::Rng rng(5);
         std::size_t evals = 0;
         if (objective != nullptr) {
-            const auto outcome = fresh.system.optimize_multilink(
+            const auto outcome = fresh.system.optimize_fast(
                 fresh.array_id, *objective,
                 control::GreedyCoordinateDescent(), plane, budget_s, rng);
             evals = outcome.search.evaluations;

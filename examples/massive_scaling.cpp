@@ -41,11 +41,11 @@ int main() {
     core::LinkCache cache;
     cache.warm(medium, scenario.link_id,
                scenario.system.link(scenario.link_id));
-    const core::LinkCache::BasisLayout layout =
-        cache.basis_layout(scenario.link_id, scenario.array_id);
+    const core::StackedBasis& basis = cache.basis(scenario.link_id);
     std::printf("basis: %zu rows x %zu-wide [re|im] blocks = %.1f MiB\n",
-                layout.rows, layout.row_stride,
-                static_cast<double>(layout.bytes) / (1024.0 * 1024.0));
+                basis.rows(scenario.array_id), basis.stride(),
+                static_cast<double>(basis.table_bytes(scenario.array_id)) /
+                    (1024.0 * 1024.0));
 
     // Price trials off the fast control-plane model so the two searchers
     // get explicit evaluation budgets: majority-vote runs on a quarter

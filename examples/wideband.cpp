@@ -46,11 +46,11 @@ int main() {
     core::LinkCache cache;
     cache.warm(medium, scenario.link_id,
                scenario.system.link(scenario.link_id));
-    const core::LinkCache::BasisLayout layout =
-        cache.basis_layout(scenario.link_id, scenario.array_id);
+    const core::StackedBasis& basis = cache.basis(scenario.link_id);
     std::printf("basis: %zu rows x %zu-wide [re|im] blocks = %.1f MiB\n",
-                layout.rows, layout.row_stride,
-                static_cast<double>(layout.bytes) / (1024.0 * 1024.0));
+                basis.rows(scenario.array_id), basis.stride(),
+                static_cast<double>(basis.table_bytes(scenario.array_id)) /
+                    (1024.0 * 1024.0));
 
     const control::ControlPlaneModel plane =
         control::ControlPlaneModel::fast();
@@ -62,8 +62,7 @@ int main() {
     // Masked objective: min SNR over the active tones only. The fused
     // path touches only the basis tiles the mask intersects.
     const control::MaskedSnrObjective masked(
-        scenario.mask, control::FusedSpec::Kind::kMinSnr,
-        scenario.link_id);
+        scenario.mask, control::Reduce::kMinSnr, scenario.link_id);
     // Unmasked twin for comparison: same reduction over all tones.
     const control::MinSnrObjective full(scenario.link_id);
 

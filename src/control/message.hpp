@@ -139,10 +139,10 @@ struct OptimizeRequest {
 };
 
 /// Objective selector carried by OptimizeRequest::objective. Values 1-2
-/// are single-link objectives over the request's link_id, routed through
-/// optimize_fast. Values >= 3 are composite multi-link PRESETS over every
-/// registered link, routed through System::optimize_multilink's shared
-/// basis (docs/OBJECTIVES.md has the exact term semantics); for
+/// are single-link objectives over the request's link_id. Values >= 3 are
+/// composite multi-link PRESETS over every registered link, which
+/// System::optimize_fast scores over the shared multi-link basis
+/// (docs/OBJECTIVES.md has the exact term semantics); for
 /// kNullVictim the request's link_id names the victim link to null and
 /// the scene must have at least two links.
 enum class ServiceObjective : std::uint8_t {

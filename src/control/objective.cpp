@@ -16,32 +16,18 @@ const std::vector<double>& link_snr(const Observation& obs,
     PRESS_EXPECTS(!obs.link_snr_db[link].empty(), "empty SNR profile");
     return obs.link_snr_db[link];
 }
-}  // namespace
 
-double MinSnrObjective::score(const Observation& obs) const {
-    return util::min_value(link_snr(obs, link_));
-}
-
-double MeanSnrObjective::score(const Observation& obs) const {
-    return util::mean(link_snr(obs, link_));
-}
-
-MaskedSnrObjective::MaskedSnrObjective(phy::RuMask mask,
-                                       FusedSpec::Kind reduce,
-                                       std::size_t link)
-    : mask_(std::move(mask)), reduce_(reduce), link_(link) {
-    PRESS_EXPECTS(reduce_ != FusedSpec::Kind::kNone,
-                  "a masked objective must reduce to a scalar");
-    PRESS_EXPECTS(mask_.num_active() > 0,
-                  "mask must leave at least one active tone");
-}
-
-double MaskedSnrObjective::score(const Observation& obs) const {
-    const std::vector<double>& snr = link_snr(obs, link_);
-    PRESS_EXPECTS(mask_.num_used() == snr.size(),
+/// The general path's reduction of one term: sequential min / mean over
+/// the whole span, or over only the mask's active tones.
+double reduce_span(const std::vector<double>& snr, Reduce reduce,
+                   const phy::RuMask* mask) {
+    if (mask == nullptr)
+        return reduce == Reduce::kMinSnr ? util::min_value(snr)
+                                         : util::mean(snr);
+    PRESS_EXPECTS(mask->num_used() == snr.size(),
                   "mask must span the observed subcarriers");
-    const std::vector<std::size_t>& idx = mask_.active_indices();
-    if (reduce_ == FusedSpec::Kind::kMinSnr) {
+    const std::vector<std::size_t>& idx = mask->active_indices();
+    if (reduce == Reduce::kMinSnr) {
         double worst = snr[idx[0]];
         for (std::size_t i = 1; i < idx.size(); ++i)
             worst = std::min(worst, snr[idx[i]]);
@@ -52,9 +38,30 @@ double MaskedSnrObjective::score(const Observation& obs) const {
     return acc / static_cast<double>(idx.size());
 }
 
-std::string MaskedSnrObjective::name() const {
-    return reduce_ == FusedSpec::Kind::kMinSnr ? "masked-min-SNR"
-                                               : "masked-mean-SNR";
+/// A one-term spec: `reduce` of link `link`'s SNR, weight 1, no floor.
+FusedSpec one_term(std::size_t link, Reduce reduce) {
+    FusedSpec spec;
+    spec.terms.push_back({link, reduce});
+    return spec;
+}
+}  // namespace
+
+MinSnrObjective::MinSnrObjective(std::size_t link)
+    : MultiLinkObjective(one_term(link, Reduce::kMinSnr),
+                         "max-min-subcarrier-SNR") {}
+
+MeanSnrObjective::MeanSnrObjective(std::size_t link)
+    : MultiLinkObjective(one_term(link, Reduce::kMeanSnr), "max-mean-SNR") {}
+
+MaskedSnrObjective::MaskedSnrObjective(phy::RuMask mask, Reduce reduce,
+                                       std::size_t link)
+    : MultiLinkObjective(one_term(link, reduce),
+                         reduce == Reduce::kMinSnr ? "masked-min-SNR"
+                                                   : "masked-mean-SNR"),
+      mask_(std::move(mask)) {
+    PRESS_EXPECTS(mask_.num_active() > 0,
+                  "mask must leave at least one active tone");
+    spec_.mask = &mask_;
 }
 
 double ThroughputObjective::score(const Observation& obs) const {
@@ -104,13 +111,9 @@ std::unique_ptr<Objective> make_harmonization_objective(
                                                    "harmonization");
 }
 
-MultiLinkObjective::MultiLinkObjective(MultiLinkSpec spec, std::string label)
+MultiLinkObjective::MultiLinkObjective(FusedSpec spec, std::string label)
     : spec_(std::move(spec)), label_(std::move(label)) {
-    PRESS_EXPECTS(!spec_.terms.empty(),
-                  "multi-link objective needs at least one term");
-    for (const LinkTerm& t : spec_.terms)
-        PRESS_EXPECTS(t.reduce != FusedSpec::Kind::kNone,
-                      "a multi-link term must reduce to a scalar");
+    PRESS_EXPECTS(!spec_.terms.empty(), "objective needs at least one term");
 }
 
 double MultiLinkObjective::term_utility(const LinkTerm& term,
@@ -120,39 +123,26 @@ double MultiLinkObjective::term_utility(const LinkTerm& term,
            term.qos_weight * (shortfall > 0.0 ? shortfall : 0.0);
 }
 
-double MultiLinkObjective::combine(const MultiLinkSpec& spec,
-                                   const double* utilities) {
-    if (spec.combine == MultiLinkSpec::Combine::kMaxMin) {
-        double worst = utilities[0];
-        for (std::size_t t = 1; t < spec.terms.size(); ++t)
-            worst = std::min(worst, utilities[t]);
-        return worst;
-    }
-    double total = 0.0;
-    for (std::size_t t = 0; t < spec.terms.size(); ++t)
-        total += utilities[t];
-    return total;
+double MultiLinkObjective::fold(const FusedSpec& spec, std::size_t t,
+                                double acc, double utility) {
+    if (t == 0) return utility;
+    return spec.combine == FusedSpec::Combine::kMaxMin
+               ? std::min(acc, utility)
+               : acc + utility;
 }
 
 double MultiLinkObjective::score(const Observation& obs) const {
-    // The general path reduces each term's span sequentially (the same
-    // arithmetic MinSnr/MeanSnr use); min terms match the fused scorer
-    // exactly, mean terms up to blocked-vs-sequential association ulps.
-    double result = 0.0;
-    bool first = true;
-    for (const LinkTerm& t : spec_.terms) {
-        const std::vector<double>& snr = link_snr(obs, t.link);
-        const double v = t.reduce == FusedSpec::Kind::kMinSnr
-                             ? util::min_value(snr)
-                             : util::mean(snr);
-        const double u = term_utility(t, v);
-        if (spec_.combine == MultiLinkSpec::Combine::kMaxMin)
-            result = first ? u : std::min(result, u);
-        else
-            result += u;
-        first = false;
+    // The general path reduces each term's span sequentially; min terms
+    // match the fused scorer exactly, mean terms up to blocked-vs-
+    // sequential association ulps.
+    double acc = 0.0;
+    for (std::size_t t = 0; t < spec_.terms.size(); ++t) {
+        const LinkTerm& term = spec_.terms[t];
+        const double v =
+            reduce_span(link_snr(obs, term.link), term.reduce, spec_.mask);
+        acc = fold(spec_, t, acc, term_utility(term, v));
     }
-    return result;
+    return acc;
 }
 
 MultiLinkProblem& MultiLinkProblem::add(LinkTerm term) {
@@ -175,18 +165,16 @@ MultiLinkProblem& MultiLinkProblem::null(std::size_t link, double weight) {
 }
 
 MultiLinkProblem& MultiLinkProblem::weighted_sum() {
-    spec_.combine = MultiLinkSpec::Combine::kWeightedSum;
+    spec_.combine = FusedSpec::Combine::kWeightedSum;
     return *this;
 }
 
 MultiLinkProblem& MultiLinkProblem::max_min() {
-    spec_.combine = MultiLinkSpec::Combine::kMaxMin;
+    spec_.combine = FusedSpec::Combine::kMaxMin;
     return *this;
 }
 
-MultiLinkProblem& MultiLinkProblem::reduce(FusedSpec::Kind kind) {
-    PRESS_EXPECTS(kind != FusedSpec::Kind::kNone,
-                  "a multi-link term must reduce to a scalar");
+MultiLinkProblem& MultiLinkProblem::reduce(Reduce kind) {
     reduce_ = kind;
     return *this;
 }
@@ -196,7 +184,7 @@ std::unique_ptr<Objective> MultiLinkProblem::build(std::string label) const {
 }
 
 std::unique_ptr<Objective> make_max_min_objective(std::size_t num_links,
-                                                  FusedSpec::Kind reduce) {
+                                                  Reduce reduce) {
     PRESS_EXPECTS(num_links >= 1, "need at least one link");
     MultiLinkProblem problem;
     problem.reduce(reduce).max_min();

@@ -26,54 +26,47 @@ struct Observation {
     std::vector<double> mimo_condition_db;
 };
 
-/// A fusable reduction shape: advertises that score(obs) depends only on
-/// obs.link_snr_db[link] through a min or mean, so an owner of the
-/// factored channel cache can compute the score directly from the
-/// accumulated SoA response — no Observation materialized, no per-link
-/// vectors filled. kNone means "score through the general path".
-struct FusedSpec {
-    enum class Kind { kNone, kMinSnr, kMeanSnr };
-    Kind kind = Kind::kNone;
-    std::size_t link = 0;
-    /// Optional RU mask (wideband preamble puncturing, DESIGN.md §15):
-    /// when non-null, the reduction runs over only the mask's active
-    /// tones, and a cache-backed owner may restrict both the basis
-    /// accumulation and the sounding to the tiles the mask touches. The
-    /// pointer must outlive the optimization run (objectives returning
-    /// one point at a mask they own).
-    const phy::RuMask* mask = nullptr;
-};
+/// Per-subcarrier reduction of one link's SNR span to a scalar (dB).
+enum class Reduce { kMinSnr, kMeanSnr };
 
-/// One link's contribution to a composite multi-link objective: the
-/// link's per-subcarrier SNR span reduced through `reduce` to a value
-/// v (dB), turned into a utility
+/// One link's term in a fused objective: the link's per-subcarrier SNR
+/// span reduced through `reduce` to a value v (dB), turned into a utility
 ///
 ///     u = weight * v - qos_weight * max(0, qos_floor_db - v)
 ///
 /// The hinge term charges nothing while the link clears its QoS floor
 /// and a linear penalty (slope qos_weight) per dB of shortfall below
-/// it; the defaults (floor -inf, qos_weight 0) disable it. Negative
-/// `weight` turns the term into an interference-nulling objective: the
-/// combined score improves as the victim link's SNR drops.
+/// it; the defaults (floor -inf, qos_weight 0) disable it, and a default
+/// term's utility is v bit for bit. Negative `weight` turns the term into
+/// an interference-nulling objective: the combined score improves as the
+/// victim link's SNR drops.
 struct LinkTerm {
     std::size_t link = 0;
-    /// Per-subcarrier reduction of the link's SNR span. kNone is invalid
-    /// here — a term must reduce to a scalar.
-    FusedSpec::Kind reduce = FusedSpec::Kind::kMeanSnr;
+    Reduce reduce = Reduce::kMeanSnr;
     double weight = 1.0;
     double qos_floor_db = -std::numeric_limits<double>::infinity();
     double qos_weight = 0.0;
 };
 
-/// The fusable shape of a composite multi-link objective: per-link
+/// The one fused advertisement: an objective whose score is per-link
 /// terms combined by a weighted sum or by max-min (maximize the worst
-/// term utility — fairness / harmonization). An owner of the shared
-/// multi-link basis (core::MultiLinkCache) scores this straight from the
-/// stacked group responses, no Observation materialized.
-struct MultiLinkSpec {
+/// term utility — fairness / harmonization), optionally over only the
+/// active tones of an RU mask. An owner of the factored channel basis
+/// (System::optimize_fast) scores it straight from the accumulated SoA
+/// responses — no Observation materialized. A one-term spec is a
+/// single-link objective (MinSnrObjective and friends) and its score is
+/// the term's reduced SNR bit for bit.
+struct FusedSpec {
     enum class Combine { kWeightedSum, kMaxMin };
     std::vector<LinkTerm> terms;
     Combine combine = Combine::kWeightedSum;
+    /// Optional RU mask (wideband preamble puncturing, DESIGN.md §15):
+    /// when non-null, every term reduces over only the mask's active
+    /// tones, and a cache-backed owner restricts both the basis
+    /// accumulation and the sounding to the tiles the mask touches. The
+    /// pointer must outlive the optimization run (objectives point it at
+    /// a mask they own).
+    const phy::RuMask* mask = nullptr;
 };
 
 /// A figure of merit; larger is better.
@@ -81,74 +74,81 @@ class Objective {
 public:
     virtual ~Objective() = default;
     virtual double score(const Observation& obs) const = 0;
-    /// The objective's fusable shape; kNone (the default) keeps the
-    /// general Observation path. Overriders guarantee that the fused
-    /// reduction over link_snr_db[link] equals score(obs) up to reduction
-    /// association (min: exactly; mean: blocked vs sequential ulps).
-    virtual FusedSpec fused_spec() const { return {}; }
-    /// The objective's composite multi-link shape, or nullptr (the
-    /// default). Overriders guarantee score(obs) equals the combinator
-    /// applied to the per-term reductions (same association caveat as
-    /// fused_spec; the returned pointer stays owned by the objective).
-    virtual const MultiLinkSpec* multilink_spec() const { return nullptr; }
+    /// The objective's fused shape, or nullptr (the default) for the
+    /// general Observation path. Overriders guarantee score(obs) equals
+    /// the combinator applied to the per-term reductions up to reduction
+    /// association (min: exactly; mean: blocked vs sequential ulps); the
+    /// returned spec stays owned by the objective.
+    virtual const FusedSpec* fused_spec() const { return nullptr; }
     virtual std::string name() const = 0;
 };
 
-/// Maximizes the minimum per-subcarrier SNR of one link (removes nulls).
-class MinSnrObjective : public Objective {
+/// An objective defined by its FusedSpec, scored the same way through
+/// the general Observation path (score) and the fused path: composite
+/// multi-link objectives (see MultiLinkProblem) and, as one-term specs,
+/// the single-link SNR objectives below.
+class MultiLinkObjective : public Objective {
 public:
-    explicit MinSnrObjective(std::size_t link = 0) : link_(link) {}
+    explicit MultiLinkObjective(FusedSpec spec,
+                                std::string label = "multi-link");
     double score(const Observation& obs) const override;
-    FusedSpec fused_spec() const override {
-        return {FusedSpec::Kind::kMinSnr, link_};
-    }
-    std::string name() const override { return "max-min-subcarrier-SNR"; }
+    const FusedSpec* fused_spec() const override { return &spec_; }
+    std::string name() const override { return label_; }
+
+    const FusedSpec& spec() const { return spec_; }
+
+    /// One term's utility for an already-reduced SNR value (dB): the
+    /// weighted value minus the QoS hinge penalty. Shared by the general
+    /// path and the fused scorer so the two cannot drift.
+    static double term_utility(const LinkTerm& term, double value_db);
+    /// Folds term `t`'s utility into the running combined score `acc`
+    /// (term order: the first term seeds it, then sum left-to-right or
+    /// running min). Shared by both scorers; never adds to 0.0, so a
+    /// one-term score keeps its utility's bits, sign of zero included.
+    static double fold(const FusedSpec& spec, std::size_t t, double acc,
+                       double utility);
+
+protected:
+    FusedSpec spec_;
 
 private:
-    std::size_t link_;
+    std::string label_;
+};
+
+/// Maximizes the minimum per-subcarrier SNR of one link (removes nulls).
+class MinSnrObjective : public MultiLinkObjective {
+public:
+    explicit MinSnrObjective(std::size_t link = 0);
 };
 
 /// Maximizes the mean per-subcarrier SNR of one link.
-class MeanSnrObjective : public Objective {
+class MeanSnrObjective : public MultiLinkObjective {
 public:
-    explicit MeanSnrObjective(std::size_t link = 0) : link_(link) {}
-    double score(const Observation& obs) const override;
-    FusedSpec fused_spec() const override {
-        return {FusedSpec::Kind::kMeanSnr, link_};
-    }
-    std::string name() const override { return "max-mean-SNR"; }
-
-private:
-    std::size_t link_;
+    explicit MeanSnrObjective(std::size_t link = 0);
 };
 
 /// Per-RU masked single-link objective: the min or mean per-subcarrier
 /// SNR over ONLY the active tones of an RU mask (996-tone and wider
 /// numerologies schedule per-RU and puncture preamble-incumbent RUs; see
-/// docs/OBJECTIVES.md). Fusable: fused_spec() carries the mask, so
+/// docs/OBJECTIVES.md). A one-term spec carrying the mask, so
 /// System::optimize_fast sounds and reduces only the active tones and
 /// bounds the basis accumulation to the subcarrier tiles the mask
 /// intersects. The general Observation path reads the same tones out of
 /// the full-width SNR span (min matches the fused scorer exactly, mean
-/// up to blocked-vs-sequential association ulps — the FusedSpec
-/// contract; the noise draws differ because the fused path sounds only
-/// active tones).
-class MaskedSnrObjective : public Objective {
+/// up to blocked-vs-sequential association ulps; the noise draws differ
+/// because the fused path sounds only active tones). Not copyable: the
+/// spec points at the mask this object owns.
+class MaskedSnrObjective : public MultiLinkObjective {
 public:
-    MaskedSnrObjective(phy::RuMask mask, FusedSpec::Kind reduce,
+    MaskedSnrObjective(phy::RuMask mask, Reduce reduce,
                        std::size_t link = 0);
-    double score(const Observation& obs) const override;
-    FusedSpec fused_spec() const override {
-        return {reduce_, link_, &mask_};
-    }
-    std::string name() const override;
+    MaskedSnrObjective(const MaskedSnrObjective&) = delete;
+    MaskedSnrObjective& operator=(const MaskedSnrObjective&) = delete;
 
     const phy::RuMask& mask() const { return mask_; }
 
 private:
     phy::RuMask mask_;
-    FusedSpec::Kind reduce_;
-    std::size_t link_;
 };
 
 /// Maximizes the selected-MCS PHY throughput of one link (the paper's
@@ -195,34 +195,6 @@ private:
 std::unique_ptr<Objective> make_harmonization_objective(
     std::size_t num_subcarriers, bool interference_links);
 
-/// Composite objective over many links sharing one element field: the
-/// combinator described by a MultiLinkSpec, usable both through the
-/// general Observation path (score) and — via multilink_spec() — the
-/// fused zero-alloc path of System::optimize_multilink.
-class MultiLinkObjective : public Objective {
-public:
-    explicit MultiLinkObjective(MultiLinkSpec spec,
-                                std::string label = "multi-link");
-    double score(const Observation& obs) const override;
-    const MultiLinkSpec* multilink_spec() const override { return &spec_; }
-    std::string name() const override { return label_; }
-
-    const MultiLinkSpec& spec() const { return spec_; }
-
-    /// One term's utility for an already-reduced SNR value (dB): the
-    /// weighted value minus the QoS hinge penalty. Shared by the general
-    /// path and the fused scorer so the two cannot drift.
-    static double term_utility(const LinkTerm& term, double value_db);
-    /// The combinator over per-term utilities, evaluated in term order
-    /// (sum left-to-right / running min).
-    static double combine(const MultiLinkSpec& spec,
-                          const double* utilities);
-
-private:
-    MultiLinkSpec spec_;
-    std::string label_;
-};
-
 /// Fluent builder for multi-link problems — the entry point for N-link
 /// scenes (see docs/OBJECTIVES.md for the full semantics):
 ///
@@ -251,21 +223,20 @@ public:
     MultiLinkProblem& max_min();
     /// Per-term reduction for subsequently added serve/qos_floor/null
     /// terms (default kMeanSnr; kMinSnr optimizes worst subcarriers).
-    MultiLinkProblem& reduce(FusedSpec::Kind kind);
+    MultiLinkProblem& reduce(Reduce kind);
 
     std::unique_ptr<Objective> build(std::string label = "multi-link") const;
-    const MultiLinkSpec& spec() const { return spec_; }
+    const FusedSpec& spec() const { return spec_; }
 
 private:
-    MultiLinkSpec spec_;
-    FusedSpec::Kind reduce_ = FusedSpec::Kind::kMeanSnr;
+    FusedSpec spec_;
+    Reduce reduce_ = Reduce::kMeanSnr;
 };
 
 /// Max-min fairness over every link 0..num_links: maximize the worst
 /// link's reduced SNR. The harmonization preset.
 std::unique_ptr<Objective> make_max_min_objective(
-    std::size_t num_links,
-    FusedSpec::Kind reduce = FusedSpec::Kind::kMeanSnr);
+    std::size_t num_links, Reduce reduce = Reduce::kMeanSnr);
 
 /// Sum of per-link mean SNRs over every link (aggregate capacity proxy;
 /// tolerates starving individual links).

@@ -37,8 +37,6 @@ struct EvalScratch {
     /// (core::LinkCache) or a transmitter group's stack
     /// (core::MultiLinkCache). Sized once per worker, then reused.
     std::vector<util::kernels::SplitVec> group_h;
-    /// Per-term utilities of a composite multi-link objective.
-    std::vector<double> term_utility;
     /// Reused by the general (non-fused) objective path.
     Observation observation;
     /// Fault-distortion output (the distorted candidate configuration).

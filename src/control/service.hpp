@@ -104,6 +104,12 @@ struct ServiceEngine {
 };
 
 struct ServiceOptions {
+    /// Declared so `ServiceOptions{}` (the Service constructor's default
+    /// argument) runs one constructor rather than aggregate-initializing
+    /// every member at each call site, whose exception cleanup GCC 12
+    /// misreads as destroying an uninitialized telemetry.exemplar_metric.
+    ServiceOptions() = default;
+
     std::size_t queue_capacity = 64;   ///< bounded request queue
     std::size_t outbox_capacity = 64;  ///< per-session reply frames
     /// Outbox depth at which new requests from that session are refused

@@ -25,7 +25,6 @@ void mirror_hits(std::uint64_t n) {
     hits.add(n);
 }
 
-using util::kernels::IndexRange;
 using util::kernels::SplitVec;
 constexpr std::size_t kNoSkip = StackedBasis::kNoSkip;
 
@@ -94,26 +93,15 @@ util::CVec LinkCache::response(const sdr::Medium& medium,
     return out;
 }
 
-util::CVec LinkCache::response_with(const sdr::Medium& medium,
-                                    std::size_t link_id,
-                                    const sdr::Link& link,
-                                    std::size_t array_id,
-                                    const surface::Config& config) const {
-    SplitVec h;
-    response_into(medium, link_id, link, array_id, config, h);
-    util::CVec out(h.size());
-    util::kernels::interleave(h.re.data(), h.im.data(), out.data(),
-                              h.size());
-    return out;
-}
-
 void LinkCache::response_into(const sdr::Medium& medium,
                               std::size_t link_id, const sdr::Link& link,
                               std::size_t array_id,
                               const surface::Config& config,
                               SplitVec& out) const {
-    response_ranges_into(medium, link_id, link, array_id, config, nullptr, 0,
-                         out);
+    const StackedBasis& b = checked(medium, link_id, link);
+    PRESS_EXPECTS(array_id < b.num_arrays(),
+                  "array id out of the cached range");
+    b.read(medium, array_id, config, kNoSkip, nullptr, 0, out);
 }
 
 void LinkCache::response_base_into(const sdr::Medium& medium,
@@ -123,46 +111,10 @@ void LinkCache::response_base_into(const sdr::Medium& medium,
                                    const surface::Config& config,
                                    std::size_t element,
                                    SplitVec& out) const {
-    response_base_ranges_into(medium, link_id, link, array_id, config,
-                              element, nullptr, 0, out);
-}
-
-void LinkCache::response_ranges_into(const sdr::Medium& medium,
-                                     std::size_t link_id,
-                                     const sdr::Link& link,
-                                     std::size_t array_id,
-                                     const surface::Config& config,
-                                     const IndexRange* ranges,
-                                     std::size_t num_ranges,
-                                     SplitVec& out) const {
-    const StackedBasis& b = checked(medium, link_id, link);
-    PRESS_EXPECTS(array_id < b.num_arrays(),
-                  "array id out of the cached range");
-    b.read(medium, array_id, config, kNoSkip, ranges, num_ranges, out);
-}
-
-void LinkCache::response_base_ranges_into(
-    const sdr::Medium& medium, std::size_t link_id, const sdr::Link& link,
-    std::size_t array_id, const surface::Config& config, std::size_t element,
-    const IndexRange* ranges, std::size_t num_ranges, SplitVec& out) const {
     const StackedBasis& b = checked(medium, link_id, link);
     PRESS_EXPECTS(element < b.num_elements(array_id),
                   "element id out of the cached range");
-    b.read(medium, array_id, config, element, ranges, num_ranges, out);
-}
-
-void LinkCache::accumulate_element_row(std::size_t link_id,
-                                       std::size_t array_id,
-                                       std::size_t element, int state,
-                                       SplitVec& h) const {
-    basis(link_id).add_row(array_id, element, state, nullptr, 0, h);
-}
-
-void LinkCache::accumulate_element_row_ranges(
-    std::size_t link_id, std::size_t array_id, std::size_t element,
-    int state, const IndexRange* ranges, std::size_t num_ranges,
-    SplitVec& h) const {
-    basis(link_id).add_row(array_id, element, state, ranges, num_ranges, h);
+    b.read(medium, array_id, config, element, nullptr, 0, out);
 }
 
 void LinkCache::element_row_delta(std::size_t link_id, std::size_t array_id,
@@ -170,25 +122,6 @@ void LinkCache::element_row_delta(std::size_t link_id, std::size_t array_id,
                                   const SplitVec& base, SplitVec& out) const {
     basis(link_id).row_delta(array_id, element, state, nullptr, 0, base,
                              out);
-}
-
-void LinkCache::element_row_delta_ranges(
-    std::size_t link_id, std::size_t array_id, std::size_t element,
-    int state, const IndexRange* ranges, std::size_t num_ranges,
-    const SplitVec& base, SplitVec& out) const {
-    basis(link_id).row_delta(array_id, element, state, ranges, num_ranges,
-                             base, out);
-}
-
-LinkCache::BasisLayout LinkCache::basis_layout(std::size_t link_id,
-                                               std::size_t array_id) const {
-    const StackedBasis& b = basis(link_id);
-    BasisLayout layout;
-    layout.rows = b.rows(array_id);
-    layout.num_sc = b.num_sc();
-    layout.row_stride = b.stride();
-    layout.bytes = b.table_bytes(array_id);
-    return layout;
 }
 
 void LinkCache::invalidate() {

@@ -70,36 +70,18 @@ public:
     static constexpr std::size_t kTileSubcarriers =
         StackedBasis::kTileSubcarriers;
 
-    /// Geometry of one array's basis table, for benchmarks and tests that
-    /// want to report (or assert on) the blocked layout.
-    struct BasisLayout {
-        std::size_t rows = 0;        ///< total element-state rows
-        std::size_t num_sc = 0;      ///< used subcarriers per row
-        std::size_t row_stride = 0;  ///< doubles per component, kLanes-padded
-        std::size_t bytes = 0;       ///< table footprint (rows*2*stride*8)
-    };
-
-    /// Layout of the warm entry for (`link_id`, `array_id`). Requires a
-    /// warm entry (same precondition as response_into).
-    BasisLayout basis_layout(std::size_t link_id, std::size_t array_id) const;
-
     /// CFR of `link` on the used subcarriers under every array's currently
     /// selected states, rebuilding the factored basis if stale.
     util::CVec response(const sdr::Medium& medium, std::size_t link_id,
                         const sdr::Link& link);
 
     /// CFR with array `array_id`'s states overridden by `config` (other
-    /// arrays stay at their current states). Requires a warm, current
-    /// entry (see warm()); never rebuilds, and reads only immutable entry
-    /// state — safe to call concurrently from a batch evaluator.
-    util::CVec response_with(const sdr::Medium& medium, std::size_t link_id,
-                             const sdr::Link& link, std::size_t array_id,
-                             const surface::Config& config) const;
-
-    /// The allocation-free form of response_with(): writes the same bits
-    /// into caller-owned scratch, resized to the subcarrier count
-    /// (capacity is retained across calls, so a reused scratch never
-    /// allocates in steady state). Same thread-safety contract.
+    /// arrays stay at their current states), written into caller-owned
+    /// scratch resized to the subcarrier count (capacity is retained
+    /// across calls, so a reused scratch never allocates in steady
+    /// state). Requires a warm, current entry (see warm()); never
+    /// rebuilds, and reads only immutable entry state — safe to call
+    /// concurrently from a batch evaluator.
     void response_into(const sdr::Medium& medium, std::size_t link_id,
                        const sdr::Link& link, std::size_t array_id,
                        const surface::Config& config,
@@ -108,7 +90,7 @@ public:
     /// Coordinate-sweep base: like response_into(), but element `element`
     /// of array `array_id` contributes NO row at all (its state in
     /// `config` is ignored). Adding exactly one of that element's rows
-    /// afterwards (accumulate_element_row) yields the sweep's candidate
+    /// afterwards (element_row_delta) yields the sweep's candidate
     /// response with the swept row added last — the canonical arithmetic
     /// both the delta-caching and the per-candidate-recompute paths
     /// reproduce bit-for-bit.
@@ -118,17 +100,10 @@ public:
                             std::size_t element,
                             util::kernels::SplitVec& out) const;
 
-    /// Adds element `element`'s basis row for load state `state` (array
-    /// `array_id`) into `h`. Requires a warm entry (validated by the
-    /// response_base_into() call that produced `h`).
-    void accumulate_element_row(std::size_t link_id, std::size_t array_id,
-                                std::size_t element, int state,
-                                util::kernels::SplitVec& h) const;
-
     /// Fused coordinate delta: out = base + element `element`'s basis row
     /// for load state `state`, in ONE pass over out (base untouched) —
-    /// bit-identical to copying `base` into `out` and calling
-    /// accumulate_element_row(), at 60% of the memory traffic. `out` must
+    /// bit-identical to copying `base` into `out` and adding the row
+    /// (StackedBasis::add_row), at 60% of the memory traffic. `out` must
     /// already be sized to `base` (resize it once outside the sweep; the
     /// call itself never allocates) and must not alias `base`.
     void element_row_delta(std::size_t link_id, std::size_t array_id,
@@ -136,66 +111,16 @@ public:
                            const util::kernels::SplitVec& base,
                            util::kernels::SplitVec& out) const;
 
-    // Tile-bounded reads (DESIGN.md §15): the same arithmetic restricted
-    // to half-open subcarrier spans. A masked objective only ever reads
-    // the tones inside an RU mask's active spans, so the accumulation can
-    // skip every basis tile the mask never touches. `out` is still
-    // resized to the full subcarrier count, but ONLY the doubles inside
-    // the given spans are written — bit-identical to the full-width call
-    // on those positions (per subcarrier the element addition order is
-    // unchanged); everything outside is left untouched and must not be
-    // read. Spans must be ascending, non-overlapping, and inside
-    // [0, num_sc) — phy::RuMask::tile_spans(kTileSubcarriers) produces
-    // exactly that.
-
-    /// Tile-bounded response_into(): writes only the given spans.
-    void response_ranges_into(const sdr::Medium& medium, std::size_t link_id,
-                              const sdr::Link& link, std::size_t array_id,
-                              const surface::Config& config,
-                              const util::kernels::IndexRange* ranges,
-                              std::size_t num_ranges,
-                              util::kernels::SplitVec& out) const;
-
-    /// Tile-bounded response_base_into(): writes only the given spans.
-    void response_base_ranges_into(const sdr::Medium& medium,
-                                   std::size_t link_id,
-                                   const sdr::Link& link,
-                                   std::size_t array_id,
-                                   const surface::Config& config,
-                                   std::size_t element,
-                                   const util::kernels::IndexRange* ranges,
-                                   std::size_t num_ranges,
-                                   util::kernels::SplitVec& out) const;
-
-    /// Tile-bounded accumulate_element_row(): adds the row over only the
-    /// given spans of `h`.
-    void accumulate_element_row_ranges(std::size_t link_id,
-                                       std::size_t array_id,
-                                       std::size_t element, int state,
-                                       const util::kernels::IndexRange* ranges,
-                                       std::size_t num_ranges,
-                                       util::kernels::SplitVec& h) const;
-
-    /// Tile-bounded element_row_delta(): out = base + row over only the
-    /// given spans (one fused pass; outside the spans `out` is left
-    /// untouched). Same sizing/aliasing contract as element_row_delta().
-    void element_row_delta_ranges(std::size_t link_id, std::size_t array_id,
-                                  std::size_t element, int state,
-                                  const util::kernels::IndexRange* ranges,
-                                  std::size_t num_ranges,
-                                  const util::kernels::SplitVec& base,
-                                  util::kernels::SplitVec& out) const;
-
     /// Builds (or refreshes) the entry for `link_id` so that subsequent
-    /// response_with() calls are pure reads.
+    /// response_into() calls are pure reads.
     void warm(const sdr::Medium& medium, std::size_t link_id,
               const sdr::Link& link);
 
     /// Drops every entry (the next response per link is a miss).
     void invalidate();
 
-    /// Folds `n` cache hits observed by a batch of response_with() reads.
-    /// response_with itself counts nothing: its contract guarantees a warm
+    /// Folds `n` cache hits observed by a batch of warm reads. The reads
+    /// themselves count nothing: their contract guarantees a warm
     /// entry (every read is a hit by construction), and the cached
     /// evaluation path is ~quarter-microsecond per call, so even a relaxed
     /// per-call increment would be measurable. Batch owners account for
@@ -210,8 +135,9 @@ public:
         return s;
     }
 
-    /// The warm one-member basis of `link_id`, for batch drivers that
-    /// validated it through warm() and read it directly.
+    /// The warm one-member basis of `link_id`, for readers that validated
+    /// it through warm() — every read form (tile-bounded spans, base, row
+    /// add, fused row delta) and the table layout.
     const StackedBasis& basis(std::size_t link_id) const;
 
 private:

@@ -105,35 +105,10 @@ void MultiLinkCache::group_response_into(const sdr::Medium& medium,
                                          std::size_t array_id,
                                          const surface::Config& config,
                                          util::kernels::SplitVec& out) const {
-    group_response_ranges_into(medium, group, array_id, config, nullptr, 0,
-                               out);
-}
-
-void MultiLinkCache::group_response_ranges_into(
-    const sdr::Medium& medium, std::size_t group, std::size_t array_id,
-    const surface::Config& config, const util::kernels::IndexRange* ranges,
-    std::size_t num_ranges, util::kernels::SplitVec& out) const {
     const StackedBasis& b = group_basis(group);
     PRESS_EXPECTS(array_id < b.num_arrays(),
                   "array id out of the cached range");
-    b.read(medium, array_id, config, StackedBasis::kNoSkip, ranges,
-           num_ranges, out);
-}
-
-void MultiLinkCache::group_response_base_into(
-    const sdr::Medium& medium, std::size_t group, std::size_t array_id,
-    const surface::Config& config, std::size_t element,
-    util::kernels::SplitVec& out) const {
-    const StackedBasis& b = group_basis(group);
-    PRESS_EXPECTS(element < b.num_elements(array_id),
-                  "element id out of the cached range");
-    b.read(medium, array_id, config, element, nullptr, 0, out);
-}
-
-void MultiLinkCache::accumulate_group_element_row(
-    std::size_t group, std::size_t array_id, std::size_t element, int state,
-    util::kernels::SplitVec& h) const {
-    group_basis(group).add_row(array_id, element, state, nullptr, 0, h);
+    b.read(medium, array_id, config, StackedBasis::kNoSkip, nullptr, 0, out);
 }
 
 MultiLinkCache::LinkView MultiLinkCache::view(std::size_t link_id) const {
@@ -147,10 +122,6 @@ const std::vector<std::size_t>& MultiLinkCache::group_links(
     PRESS_EXPECTS(valid_, "cache is cold; call warm() first");
     PRESS_EXPECTS(group < groups_.size(), "group id out of range");
     return groups_[group].links;
-}
-
-std::size_t MultiLinkCache::group_width(std::size_t group) const {
-    return group_basis(group).width();
 }
 
 MultiLinkCache::MemoryStats MultiLinkCache::memory_stats() const {

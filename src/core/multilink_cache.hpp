@@ -102,7 +102,7 @@ public:
     };
 
     /// Builds (or refreshes) the grouped basis for `links` so every
-    /// group_response_* call is a pure read. Link ids are positions in
+    /// group read is a pure read. Link ids are positions in
     /// `links`; call again after geometry / fault / endpoint changes
     /// (stale state is detected and rebuilt, warm state is a no-op).
     void warm(const sdr::Medium& medium, const std::vector<sdr::Link>& links);
@@ -112,44 +112,12 @@ public:
 
     /// Wide CFR of group `group` — every member link's response, stacked —
     /// with array `array_id`'s states overridden by `config`. Resizes
-    /// `out` to group_width(group); requires a warm cache. Reads only
+    /// `out` to the group's stack width; requires a warm cache. Reads only
     /// immutable state: safe from concurrent batch workers.
     void group_response_into(const sdr::Medium& medium, std::size_t group,
                              std::size_t array_id,
                              const surface::Config& config,
                              util::kernels::SplitVec& out) const;
-
-    /// Tile-bounded group_response_into() (DESIGN.md §15): the spans are
-    /// half-open subcarrier ranges applied inside EVERY member segment —
-    /// slot s's doubles [s * link_stride + offset, + len) are written
-    /// with exactly the full call's arithmetic, everything outside the
-    /// spans is left untouched and must not be read. Spans must be
-    /// ascending, non-overlapping and inside [0, num_sc);
-    /// phy::RuMask::tile_spans produces exactly that.
-    void group_response_ranges_into(const sdr::Medium& medium,
-                                    std::size_t group, std::size_t array_id,
-                                    const surface::Config& config,
-                                    const util::kernels::IndexRange* ranges,
-                                    std::size_t num_ranges,
-                                    util::kernels::SplitVec& out) const;
-
-    /// Coordinate-sweep base: like group_response_into() but element
-    /// `element` of array `array_id` contributes no row (its state in
-    /// `config` is ignored). Adding one wide element row afterwards
-    /// yields the candidate with the swept row added last — the same
-    /// delta arithmetic LinkCache documents, for all members at once.
-    void group_response_base_into(const sdr::Medium& medium,
-                                  std::size_t group, std::size_t array_id,
-                                  const surface::Config& config,
-                                  std::size_t element,
-                                  util::kernels::SplitVec& out) const;
-
-    /// Adds element `element`'s wide basis row for load state `state`
-    /// (array `array_id`) into `h` (a wide group response).
-    void accumulate_group_element_row(std::size_t group,
-                                      std::size_t array_id,
-                                      std::size_t element, int state,
-                                      util::kernels::SplitVec& h) const;
 
     /// The wide-row placement of link `link_id`. Requires a warm cache.
     LinkView view(std::size_t link_id) const;
@@ -166,9 +134,6 @@ public:
     std::size_t link_stride() const {
         return groups_.empty() ? 0 : groups_.front().basis.stride();
     }
-    /// Doubles per component span of one wide row of `group`.
-    std::size_t group_width(std::size_t group) const;
-
     MemoryStats memory_stats() const;
 
     /// Drops the grouped basis (the next warm() rebuilds).
@@ -187,8 +152,8 @@ public:
         return s;
     }
 
-    /// The warm stacked basis of `group` — every read form (ranged,
-    /// base, row add, fused row delta) for batch drivers.
+    /// The warm stacked basis of `group` — every read form (tile-bounded
+    /// spans, base, row add, fused row delta) and the stack width.
     const StackedBasis& group_basis(std::size_t group) const;
 
 private:

@@ -33,12 +33,11 @@ struct ServeConfig {
 /// `system` must outlive any Service built on the returned bundle.
 ///
 /// Semantics mapped onto System:
-///   optimize        -> System::optimize_fast for the single-link
-///                      presets (kMinSnr/kMeanSnr), or
-///                      System::optimize_multilink for the composite
-///                      presets (selector >= kMaxMinFair) scored over
-///                      the shared multi-link basis; either way
-///                      cache-backed and leaves the best
+///   optimize        -> System::optimize_fast for every preset: the
+///                      single-link ones (kMinSnr/kMeanSnr) read their
+///                      link's own basis, the composite ones (selector
+///                      >= kMaxMinFair) the shared multi-link basis;
+///                      either way cache-backed and leaves the best
 ///                      configuration applied
 ///   mutate          -> one element state poked through System::apply
 ///                      (fault models respected)

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <complex>
+#include <limits>
 
 #include "control/batch.hpp"
 #include "obs/metrics.hpp"
@@ -13,6 +14,58 @@
 #include "util/kernels.hpp"
 
 namespace press::core {
+
+namespace {
+
+/// Post-search accounting of a shared-basis optimize: gauges for the
+/// scene shape and one histogram of per-link winner scores — the
+/// noise-free estimator-scale mean SNR of every link under the applied
+/// (possibly fault-distorted) configuration, read from the shared basis,
+/// the value the search's soundings converge to. One observation per link
+/// per optimize call — cold path, never inside the candidate loop.
+void record_multilink_telemetry(const sdr::Medium& medium,
+                                const std::vector<sdr::Link>& links,
+                                MultiLinkCache& cache,
+                                std::size_t array_id) {
+    if (!obs::enabled()) return;
+    const std::size_t num_links = links.size();
+    const std::size_t num_sc = cache.num_sc();
+    util::kernels::SplitVec wide;
+    std::vector<double> noise(num_sc);
+    std::vector<double> scores_db(num_links, 0.0);
+    const surface::Config& applied = medium.array(array_id).current_config();
+    for (std::size_t g = 0; g < cache.num_groups(); ++g) {
+        cache.group_response_into(medium, g, array_id, applied, wide);
+        for (const std::size_t link_id : cache.group_links(g)) {
+            const std::size_t offset = cache.view(link_id).offset;
+            noise.assign(num_sc,
+                         medium.estimate_noise_variance(links[link_id]));
+            scores_db[link_id] = util::kernels::snr_db_mean(
+                util::kernels::active(), wide.re.data() + offset,
+                wide.im.data() + offset, noise.data(), num_sc,
+                phy::kSnrCapDb, phy::kSnrFloorDb);
+        }
+    }
+    cache.note_batch_hits(num_links);
+
+    auto& registry = obs::MetricsRegistry::global();
+    registry.gauge("control.multilink.links")
+        .set(static_cast<double>(num_links));
+    registry.gauge("control.multilink.groups")
+        .set(static_cast<double>(cache.num_groups()));
+    static obs::Histogram& scores = registry.histogram(
+        "control.multilink.link_score_db",
+        {-20.0, -10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0,
+         40.0});
+    double worst = std::numeric_limits<double>::infinity();
+    for (double v : scores_db) {
+        scores.observe(v);
+        worst = std::min(worst, v);
+    }
+    registry.gauge("control.multilink.worst_link_db").set(worst);
+}
+
+}  // namespace
 
 System::System(sdr::Medium medium) : medium_(std::move(medium)) {}
 
@@ -174,15 +227,6 @@ control::OptimizationOutcome System::optimize_fast(
     const control::ControlPlaneModel& plane, double time_budget_s,
     util::Rng& rng, std::size_t threads) {
     obs::TraceSpan span("core.system.optimize_fast");
-    return optimize_batched(/*shared=*/false, array_id, objective, searcher,
-                            plane, time_budget_s, rng, threads);
-}
-
-control::OptimizationOutcome System::optimize_batched(
-    bool shared, std::size_t array_id, const control::Objective& objective,
-    const control::Searcher& searcher,
-    const control::ControlPlaneModel& plane, double time_budget_s,
-    util::Rng& rng, std::size_t threads) {
     PRESS_EXPECTS(!links_.empty(), "register links before optimizing");
     PRESS_EXPECTS(time_budget_s > 0.0, "budget must be positive");
     const surface::ConfigSpace space =
@@ -198,6 +242,24 @@ control::OptimizationOutcome System::optimize_batched(
         probe, links_.size(), medium_.ofdm().num_used());
     const std::size_t max_evals = std::max<std::size_t>(
         1, static_cast<std::size_t>(time_budget_s / trial_cost));
+
+    // Scoring mode: a fused spec — responses -> per-term sounding draws
+    // and reduction -> combinator, no Observation — or the general
+    // Observation path over every link.
+    const std::size_t num_links = links_.size();
+    const control::FusedSpec* spec = objective.fused_spec();
+    if (spec != nullptr) {
+        PRESS_EXPECTS(!spec->terms.empty(),
+                      "a fused spec needs at least one term");
+        for (const control::LinkTerm& t : spec->terms)
+            PRESS_EXPECTS(t.link < num_links,
+                          "a fused term names an unregistered link");
+    }
+    // The basis follows from the objective: a spec with two or more terms
+    // reads the stacked transmitter groups (one row selection serves all
+    // of a group's members); a one-term spec or the general path reads
+    // each scored link's own one-member stack.
+    const bool shared = spec != nullptr && spec->terms.size() >= 2;
 
     // Warm the bases so the batch workers only ever read.
     if (shared) {
@@ -219,61 +281,40 @@ control::OptimizationOutcome System::optimize_batched(
 
     // The estimator noise variance is a pure function of the link's radio
     // profile — hoist it out of the per-candidate loop.
-    const std::size_t num_links = links_.size();
     std::vector<double> link_noise(num_links);
     for (std::size_t i = 0; i < num_links; ++i)
         link_noise[i] = medium_.estimate_noise_variance(links_[i]);
 
-    // Scoring mode: a composite MultiLinkSpec (shared basis only) wins,
-    // then a single-link fused spec — response -> sounding draws -> fused
-    // reduction, no Observation — then the general Observation path.
-    const control::MultiLinkSpec* ml =
-        shared ? objective.multilink_spec() : nullptr;
-    if (ml != nullptr) {
-        for (const control::LinkTerm& t : ml->terms) {
-            PRESS_EXPECTS(t.link < num_links,
-                          "multi-link term names an unregistered link");
-            PRESS_EXPECTS(t.reduce != control::FusedSpec::Kind::kNone,
-                          "a multi-link term must reduce to a scalar");
-        }
-    }
-    const control::FusedSpec fused = objective.fused_spec();
-    const bool fuse = ml == nullptr &&
-                      fused.kind != control::FusedSpec::Kind::kNone &&
-                      fused.link < num_links;
-
-    // Masked fused objectives (DESIGN.md §15) score only the RU mask's
-    // active tones: every basis read is bounded to the subcarrier tiles
-    // the mask intersects (tile_spans), the sounding draws one noise
-    // sample per ACTIVE tone per repetition (ascending active-index order
-    // — identical rng consumption on the delta and recompute paths), and
-    // the reduction runs over the dense masked axis.
-    const bool masked = fuse && fused.mask != nullptr;
+    // Masked specs (DESIGN.md §15) score only the RU mask's active tones:
+    // every basis read is bounded to the subcarrier tiles the mask
+    // intersects (tile_spans), the sounding draws one noise sample per
+    // ACTIVE tone per repetition (ascending active-index order —
+    // identical rng consumption on the delta and recompute paths), and
+    // each term reduces over the dense masked axis.
+    const phy::RuMask* mask = spec != nullptr ? spec->mask : nullptr;
     std::vector<util::kernels::IndexRange> mask_spans;
     const std::size_t* mask_idx = nullptr;
     std::size_t mask_m = 0;
-    if (masked) {
-        PRESS_EXPECTS(fused.mask->num_used() == medium_.ofdm().num_used(),
+    if (mask != nullptr) {
+        PRESS_EXPECTS(mask->num_used() == medium_.ofdm().num_used(),
                       "RU mask must span the numerology's used tones");
-        PRESS_EXPECTS(fused.mask->num_active() > 0,
+        PRESS_EXPECTS(mask->num_active() > 0,
                       "RU mask must leave at least one active tone");
         for (const phy::RuRange& r :
-             fused.mask->tile_spans(StackedBasis::kTileSubcarriers))
+             mask->tile_spans(StackedBasis::kTileSubcarriers))
             mask_spans.push_back({r.first, r.last - r.first});
-        mask_idx = fused.mask->active_indices().data();
-        mask_m = fused.mask->active_indices().size();
+        mask_idx = mask->active_indices().data();
+        mask_m = mask->active_indices().size();
     }
     const util::kernels::IndexRange* spans =
-        masked ? mask_spans.data() : nullptr;
+        mask != nullptr ? mask_spans.data() : nullptr;
     const std::size_t num_spans = mask_spans.size();
 
-    // The links a candidate scores: the composite's term links, the fused
-    // link, or every link.
+    // The links a candidate scores: the spec's term links, or every link.
     std::vector<std::size_t> scored;
-    if (ml != nullptr) {
-        for (const control::LinkTerm& t : ml->terms) scored.push_back(t.link);
-    } else if (fuse) {
-        scored.push_back(fused.link);
+    if (spec != nullptr) {
+        for (const control::LinkTerm& t : spec->terms)
+            scored.push_back(t.link);
     } else {
         for (std::size_t i = 0; i < num_links; ++i) scored.push_back(i);
     }
@@ -329,7 +370,7 @@ control::OptimizationOutcome System::optimize_batched(
         const double* hre = h.re.data() + placement[link].offset;
         const double* him = h.im.data() + placement[link].offset;
         const double var = link_noise[link];
-        const std::size_t m = masked ? mask_m : num_sc;
+        const std::size_t m = mask != nullptr ? mask_m : num_sc;
         s.resize_tracked(s.raw_re, repeats * num_sc);
         s.resize_tracked(s.raw_im, repeats * num_sc);
         s.resize_tracked(s.mean_re, m);
@@ -343,13 +384,13 @@ control::OptimizationOutcome System::optimize_batched(
                 rr[k] = hre[k] + w.real();
                 ri[k] = him[k] + w.imag();
             };
-            if (masked)
+            if (mask != nullptr)
                 for (std::size_t i = 0; i < m; ++i) draw(mask_idx[i]);
             else
                 for (std::size_t k = 0; k < m; ++k) draw(k);
         }
         const util::kernels::Dispatch d = util::kernels::active();
-        if (masked)
+        if (mask != nullptr)
             util::kernels::masked_ltf_mean_var(
                 d, s.raw_re.data(), s.raw_im.data(), repeats, num_sc,
                 mask_idx, m, s.mean_re.data(), s.mean_im.data(),
@@ -363,11 +404,11 @@ control::OptimizationOutcome System::optimize_batched(
 
     // Fused reduction of the sounding in s to one SNR (dB): min exactly
     // matches the Observation path, mean differs by blocked-vs-sequential
-    // association ulps (see FusedSpec).
-    const auto reduce = [](control::FusedSpec::Kind kind,
+    // association ulps (see Objective::fused_spec).
+    const auto reduce = [](control::Reduce kind,
                            const control::EvalScratch& s, std::size_t m) {
         const util::kernels::Dispatch d = util::kernels::active();
-        return kind == control::FusedSpec::Kind::kMinSnr
+        return kind == control::Reduce::kMinSnr
                    ? util::kernels::snr_db_min(
                          d, s.mean_re.data(), s.mean_im.data(),
                          s.noise_var.data(), m, phy::kSnrCapDb,
@@ -379,24 +420,23 @@ control::OptimizationOutcome System::optimize_batched(
     };
 
     // Scores a candidate whose responses are assembled. Links are sounded
-    // in a fixed order — term order, the fused link, or ascending link id
-    // — so the rng draw sequence never depends on the basis, grouping,
-    // scheduling or kernel flavor.
+    // in a fixed order — term order, or ascending link id — so the rng
+    // draw sequence never depends on the basis, grouping, scheduling or
+    // kernel flavor.
     const auto score = [&](util::Rng& crng,
                            control::EvalScratch& s) -> double {
-        if (ml != nullptr) {
-            s.resize_tracked(s.term_utility, ml->terms.size());
-            for (std::size_t t = 0; t < ml->terms.size(); ++t) {
-                const control::LinkTerm& term = ml->terms[t];
+        if (spec != nullptr) {
+            double acc = 0.0;
+            for (std::size_t t = 0; t < spec->terms.size(); ++t) {
+                const control::LinkTerm& term = spec->terms[t];
                 const double v = reduce(term.reduce, s,
                                         sound(term.link, crng, s));
-                s.term_utility[t] =
-                    control::MultiLinkObjective::term_utility(term, v);
+                acc = control::MultiLinkObjective::fold(
+                    *spec, t, acc,
+                    control::MultiLinkObjective::term_utility(term, v));
             }
-            return control::MultiLinkObjective::combine(
-                *ml, s.term_utility.data());
+            return acc;
         }
-        if (fuse) return reduce(fused.kind, s, sound(fused.link, crng, s));
         if (s.observation.link_snr_db.size() != num_links)
             s.observation.link_snr_db.resize(num_links);
         for (std::size_t i = 0; i < num_links; ++i) {
@@ -545,6 +585,8 @@ control::OptimizationOutcome System::optimize_batched(
     // Actuate the winner through the normal (fault-distorting) path.
     if (!outcome.search.best_config.empty())
         apply(array_id, outcome.search.best_config);
+    if (shared)
+        record_multilink_telemetry(medium_, links_, multi_cache_, array_id);
     return outcome;
 }
 

@@ -112,44 +112,49 @@ public:
         const fault::HealthReport& report, util::Rng& rng);
 
     /// Cache-backed parallel optimization: candidates are scored against
-    /// the factored channel cache on a fixed thread pool instead of being
+    /// the factored channel basis on a fixed thread pool instead of being
     /// applied to the (simulated) hardware one at a time, so evaluation
     /// throughput is bounded by the GEMV recombination kernel rather than
     /// the ray tracer. Simulated wall-clock is still charged per trial at
     /// the control-plane rate (parallelism speeds up the simulator, not
     /// the modeled hardware). Stuck/dead/drift faults are fully respected;
     /// flaky switches are evaluated against the pre-search array state.
-    /// Results are bit-reproducible for a given rng state regardless of
-    /// `threads` (0 = PRESS_THREADS env override, else hardware default).
-    /// The best configuration found is applied before returning.
+    ///
+    /// The objective picks the scoring and the basis. An objective
+    /// advertising a FusedSpec is scored fused inside the worker arenas
+    /// (responses -> per-term sounding + reduction -> combinator, no
+    /// Observation materialized); any other runs the general Observation
+    /// path over every link. A spec with two or more terms (weighted sums,
+    /// max-min fairness, QoS floors, nulling; see control::MultiLinkProblem)
+    /// reads the shared per-transmitter stacks of MultiLinkCache — one row
+    /// selection per group serves all of that group's links — and emits
+    /// the control.multilink.* telemetry; a one-term spec (min/mean/masked
+    /// SNR) or the general path reads each scored link's own LinkCache
+    /// stack. Results are bit-reproducible for a given rng state
+    /// regardless of `threads` (0 = PRESS_THREADS env override, else
+    /// hardware default) and kernel flavor. The best configuration found
+    /// is applied before returning.
     control::OptimizationOutcome optimize_fast(
         std::size_t array_id, const control::Objective& objective,
         const control::Searcher& searcher,
         const control::ControlPlaneModel& plane, double time_budget_s,
         util::Rng& rng, std::size_t threads = 0);
 
-    /// Multi-link optimization over the SHARED basis: every candidate is
-    /// scored against core::MultiLinkCache's per-transmitter stacked
-    /// tables — one row selection per transmitter group serves all of
-    /// that group's links — instead of N per-link caches. Composite
-    /// objectives advertising a MultiLinkSpec (weighted sums, max-min
-    /// fairness, QoS floors, nulling; see control::MultiLinkProblem) are
-    /// scored fused inside the worker arenas: group responses -> per-term
-    /// sounding + reduction -> combinator, no Observation materialized.
-    /// Single-link fused (RU-masked included) and general objectives work
-    /// too, and return optimize_fast's result bit for bit: both run the
-    /// same batched driver. Same determinism contract as optimize_fast:
-    /// bit-identical results for any thread count and kernel flavor; the
-    /// winner is applied. Defined in core/multilink.cpp.
+    /// The former multi-link entry point: optimize_fast, which routes
+    /// composite objectives to the shared basis itself.
     control::OptimizationOutcome optimize_multilink(
         std::size_t array_id, const control::Objective& objective,
         const control::Searcher& searcher,
         const control::ControlPlaneModel& plane, double time_budget_s,
-        util::Rng& rng, std::size_t threads = 0);
+        util::Rng& rng, std::size_t threads = 0) {
+        return optimize_fast(array_id, objective, searcher, plane,
+                             time_budget_s, rng, threads);
+    }
 
     /// Warms the shared multi-link basis for every registered link (a
-    /// no-op when current). optimize_multilink calls this itself; exposed
-    /// so benches can split build cost from steady-state sweeps.
+    /// no-op when current). optimize_fast calls this itself for
+    /// multi-term objectives; exposed so benches can split build cost
+    /// from steady-state sweeps.
     void warm_multilink() { multi_cache_.warm(medium_, links_); }
 
     /// The shared multi-link basis (warm after warm_multilink()).
@@ -171,17 +176,6 @@ public:
     }
 
 private:
-    /// The one batched driver behind optimize_fast (`shared` false: each
-    /// scored link's own LinkCache basis) and optimize_multilink (`shared`
-    /// true: the MultiLinkCache transmitter groups, composite objectives
-    /// scored fused). Everything but candidate assembly is common.
-    control::OptimizationOutcome optimize_batched(
-        bool shared, std::size_t array_id,
-        const control::Objective& objective,
-        const control::Searcher& searcher,
-        const control::ControlPlaneModel& plane, double time_budget_s,
-        util::Rng& rng, std::size_t threads);
-
     sdr::Medium medium_;
     std::vector<sdr::Link> links_;
     std::size_t sounding_repeats_ = 4;

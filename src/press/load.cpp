@@ -40,11 +40,7 @@ Load Load::reflective(double phase_rad, double carrier_hz,
 Load Load::absorptive(double leakage) {
     PRESS_EXPECTS(leakage >= 0.0 && leakage < 0.1,
                   "absorber leakage should be small");
-    Load l;
-    l.reflection = {leakage, 0.0};
-    l.extra_delay_s = 0.0;
-    l.label = "T";
-    return l;
+    return Load{{leakage, 0.0}, 0.0, "T"};
 }
 
 Load Load::active(double gain_db, double phase_rad, double carrier_hz) {

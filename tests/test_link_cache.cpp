@@ -31,6 +31,19 @@ double relative_error(const util::CVec& a, const util::CVec& b) {
     return den == 0.0 ? num : num / den;
 }
 
+/// A cached read with array `array_id` overridden by `config`, as AoS.
+util::CVec cached_response(const LinkCache& cache, const sdr::Medium& medium,
+                           std::size_t link_id, const sdr::Link& link,
+                           std::size_t array_id,
+                           const surface::Config& config) {
+    util::kernels::SplitVec h;
+    cache.response_into(medium, link_id, link, array_id, config, h);
+    util::CVec out(h.size());
+    util::kernels::interleave(h.re.data(), h.im.data(), out.data(),
+                              h.size());
+    return out;
+}
+
 /// The reference: re-trace every path and synthesize the CFR directly.
 util::CVec direct_response(const System& system, std::size_t link_id) {
     const sdr::Medium& medium = system.medium();
@@ -148,8 +161,8 @@ TEST(LinkCache, ResponseWithOverridesOneArray) {
         for (std::size_t e = 0; e < c.size(); ++e)
             c[e] = static_cast<int>(
                 pick.uniform_int(0, space.radices()[e] - 1));
-        const util::CVec hypothetical = cache.response_with(
-            medium, scenario.link_id, link, scenario.array_id, c);
+        const util::CVec hypothetical = cached_response(
+            cache, medium, scenario.link_id, link, scenario.array_id, c);
         system.apply(scenario.array_id, c);
         EXPECT_LE(relative_error(
                       hypothetical,
@@ -158,8 +171,9 @@ TEST(LinkCache, ResponseWithOverridesOneArray) {
     }
     // A stale entry must refuse the lock-free read path.
     system.medium().environment().set_max_reflection_order(2);
-    EXPECT_THROW(cache.response_with(medium, scenario.link_id, link,
-                                     scenario.array_id, space.at(0)),
+    util::kernels::SplitVec scratch;
+    EXPECT_THROW(cache.response_into(medium, scenario.link_id, link,
+                                     scenario.array_id, space.at(0), scratch),
                  util::ContractViolation);
 }
 
@@ -197,8 +211,11 @@ TEST(LinkCache, MoveZeroesTheSourceCounters) {
     EXPECT_EQ(moved.stats().invalidations, 0u);
 }
 
+// The AoS read (LinkCache::response, under the applied configuration)
+// and the SoA override read (response_into) produce the same bits.
 TEST(LinkCache, ResponseIntoMatchesResponseWithBitwise) {
     LinkScenario scenario = make_link_scenario(13, false);
+    System& system = scenario.system;
     const sdr::Medium& medium = scenario.system.medium();
     const sdr::Link& link = scenario.system.link(scenario.link_id);
     const surface::ConfigSpace space =
@@ -212,8 +229,8 @@ TEST(LinkCache, ResponseIntoMatchesResponseWithBitwise) {
         for (std::size_t e = 0; e < c.size(); ++e)
             c[e] = static_cast<int>(
                 pick.uniform_int(0, space.radices()[e] - 1));
-        const util::CVec aos = cache.response_with(
-            medium, scenario.link_id, link, scenario.array_id, c);
+        system.apply(scenario.array_id, c);
+        const util::CVec aos = cache.response(medium, scenario.link_id, link);
         cache.response_into(medium, scenario.link_id, link,
                             scenario.array_id, c, scratch);
         ASSERT_EQ(scratch.size(), aos.size());
@@ -262,14 +279,13 @@ TEST(LinkCache, CoordinateDeltaPathMatchesRecomputeAndDirect) {
             util::kernels::copy(d, cached_base.re.data(),
                                 cached_base.im.data(), candidate.re.data(),
                                 candidate.im.data(), cached_base.size());
-            cache.accumulate_element_row(scenario.link_id,
-                                         scenario.array_id, e, s,
-                                         candidate);
+            cache.basis(scenario.link_id)
+                .add_row(scenario.array_id, e, s, nullptr, 0, candidate);
             // Recompute path: rebuild the base, add the same row.
             cache.response_base_into(medium, scenario.link_id, link,
                                      scenario.array_id, base, e, fresh);
-            cache.accumulate_element_row(scenario.link_id,
-                                         scenario.array_id, e, s, fresh);
+            cache.basis(scenario.link_id)
+                .add_row(scenario.array_id, e, s, nullptr, 0, fresh);
             for (std::size_t k = 0; k < candidate.size(); ++k) {
                 EXPECT_EQ(candidate.re[k], fresh.re[k]) << "state " << s;
                 EXPECT_EQ(candidate.im[k], fresh.im[k]) << "state " << s;
@@ -278,8 +294,8 @@ TEST(LinkCache, CoordinateDeltaPathMatchesRecomputeAndDirect) {
             // row's summation position — fp association, not value).
             surface::Config c = base;
             c[e] = s;
-            const util::CVec full = cache.response_with(
-                medium, scenario.link_id, link, scenario.array_id, c);
+            const util::CVec full = cached_response(
+                cache, medium, scenario.link_id, link, scenario.array_id, c);
             util::CVec delta_aos(candidate.size());
             util::kernels::interleave(candidate.re.data(),
                                       candidate.im.data(),

@@ -55,16 +55,16 @@ TEST(MassiveScenario, ShapeAndBasisLayout) {
     LinkCache cache;
     cache.warm(medium, scenario.link_id,
                scenario.system.link(scenario.link_id));
-    const LinkCache::BasisLayout layout =
-        cache.basis_layout(scenario.link_id, scenario.array_id);
-    EXPECT_EQ(layout.rows, 2048u);  // 1024 elements x 2 states
-    EXPECT_EQ(layout.num_sc, medium.ofdm().num_used());
+    const StackedBasis& basis = cache.basis(scenario.link_id);
+    const std::size_t rows = basis.rows(scenario.array_id);
+    EXPECT_EQ(rows, 2048u);  // 1024 elements x 2 states
+    EXPECT_EQ(basis.num_sc(), medium.ofdm().num_used());
     // Rows are padded to the kernel lane width and stored as one
     // contiguous [re | im] block per row.
-    EXPECT_GE(layout.row_stride, layout.num_sc);
-    EXPECT_EQ(layout.row_stride % util::kernels::kLanes, 0u);
-    EXPECT_EQ(layout.bytes,
-              layout.rows * 2 * layout.row_stride * sizeof(double));
+    EXPECT_GE(basis.stride(), basis.num_sc());
+    EXPECT_EQ(basis.stride() % util::kernels::kLanes, 0u);
+    EXPECT_EQ(basis.table_bytes(scenario.array_id),
+              rows * 2 * basis.stride() * sizeof(double));
 }
 
 TEST(MassiveScenario, TiledBasisMatchesDirectSynthesis) {

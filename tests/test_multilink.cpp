@@ -1,14 +1,18 @@
 // Multi-user, multi-objective control over the shared basis: the
 // MultiLinkCache's stacked wide rows must be bit-faithful to N
 // independent LinkCaches, the composite objective combinators must be
-// exact algebra, and optimize_multilink must keep the PR 5 determinism
-// contract — bit-identical results across thread counts and kernel
-// flavors — while routing composite presets through the service engine.
+// exact algebra, and optimize_fast must keep the determinism contract for
+// composite objectives — bit-identical results across thread counts and
+// kernel flavors — while a one-term spec scores exactly like the
+// single-link objective it describes and the service engine routes every
+// preset through the same driver.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -37,8 +41,8 @@ using control::LinkTerm;
 using control::MajorityVoteSearcher;
 using control::MultiLinkObjective;
 using control::MultiLinkProblem;
-using control::MultiLinkSpec;
 using control::Observation;
+using control::Reduce;
 using control::SearchResult;
 
 /// A small N-link scene the bit-identity tests can afford to re-trace:
@@ -81,7 +85,7 @@ TEST(MultiLinkScene, ShapeAndGrouping) {
     for (std::size_t a = 0; a < scenario.num_aps; ++a) {
         const std::vector<std::size_t>& members = cache.group_links(a);
         ASSERT_EQ(members.size(), scenario.clients_per_ap);
-        EXPECT_EQ(cache.group_width(a),
+        EXPECT_EQ(cache.group_basis(a).width(),
                   scenario.clients_per_ap * cache.link_stride());
         for (std::size_t c = 0; c < members.size(); ++c) {
             const std::size_t id = a * scenario.clients_per_ap + c;
@@ -124,7 +128,7 @@ TEST(MultiLinkCacheTest, SharedBasisMatchesPerLinkCaches) {
         for (std::size_t g = 0; g < shared.num_groups(); ++g) {
             shared.group_response_into(medium, g, scenario.array_id,
                                        config, wide);
-            ASSERT_EQ(wide.size(), shared.group_width(g));
+            ASSERT_EQ(wide.size(), shared.group_basis(g).width());
             for (const std::size_t id : shared.group_links(g)) {
                 const MultiLinkCache::LinkView view = shared.view(id);
                 naive.response_into(medium, id, system.link(id),
@@ -169,9 +173,10 @@ TEST(MultiLinkCacheTest, DeltaPathMatchesPerLinkDelta) {
     util::kernels::SplitVec cached_base, fresh, candidate, narrow;
     const util::kernels::Dispatch d = util::kernels::active();
     for (std::size_t g = 0; g < shared.num_groups(); ++g) {
+        const StackedBasis& stack = shared.group_basis(g);
         for (std::size_t e = 0; e < base.size(); ++e) {
-            shared.group_response_base_into(medium, g, scenario.array_id,
-                                            base, e, cached_base);
+            stack.read(medium, scenario.array_id, base, e, nullptr, 0,
+                       cached_base);
             for (int s = 0; s < space.radices()[e]; ++s) {
                 // Delta path: copy the cached base, add the wide row.
                 candidate.resize(cached_base.size());
@@ -180,14 +185,12 @@ TEST(MultiLinkCacheTest, DeltaPathMatchesPerLinkDelta) {
                                     candidate.re.data(),
                                     candidate.im.data(),
                                     cached_base.size());
-                shared.accumulate_group_element_row(g, scenario.array_id,
-                                                    e, s, candidate);
+                stack.add_row(scenario.array_id, e, s, nullptr, 0,
+                              candidate);
                 // Recompute path: fresh base, same row.
-                shared.group_response_base_into(medium, g,
-                                                scenario.array_id, base,
-                                                e, fresh);
-                shared.accumulate_group_element_row(g, scenario.array_id,
-                                                    e, s, fresh);
+                stack.read(medium, scenario.array_id, base, e, nullptr, 0,
+                           fresh);
+                stack.add_row(scenario.array_id, e, s, nullptr, 0, fresh);
                 ASSERT_EQ(candidate.size(), fresh.size());
                 for (std::size_t k = 0; k < candidate.size(); ++k) {
                     EXPECT_EQ(candidate.re[k], fresh.re[k]);
@@ -199,8 +202,8 @@ TEST(MultiLinkCacheTest, DeltaPathMatchesPerLinkDelta) {
                     naive.response_base_into(medium, id, system.link(id),
                                              scenario.array_id, base, e,
                                              narrow);
-                    naive.accumulate_element_row(id, scenario.array_id, e,
-                                                 s, narrow);
+                    naive.basis(id).add_row(scenario.array_id, e, s,
+                                            nullptr, 0, narrow);
                     for (std::size_t k = 0; k < narrow.size(); ++k) {
                         EXPECT_EQ(candidate.re[view.offset + k],
                                   narrow.re[k])
@@ -248,13 +251,12 @@ TEST(MultiLinkCacheTest, RangedGroupDeltaMatchesPerLinkDelta) {
                 stack.row_delta(array_id, e, s, spans.data(), spans.size(),
                                 group_base, group_cand);
                 for (const std::size_t id : shared.group_links(g)) {
-                    naive.response_base_ranges_into(
-                        medium, id, system.link(id), array_id, base, e,
-                        spans.data(), spans.size(), link_base);
+                    const StackedBasis& own = naive.basis(id);
+                    own.read(medium, array_id, base, e, spans.data(),
+                             spans.size(), link_base);
                     link_cand.assign_zero(link_base.size());
-                    naive.element_row_delta_ranges(id, array_id, e, s,
-                                                   spans.data(), spans.size(),
-                                                   link_base, link_cand);
+                    own.row_delta(array_id, e, s, spans.data(), spans.size(),
+                                  link_base, link_cand);
                     const std::size_t offset = shared.view(id).offset;
                     for (const util::kernels::IndexRange& r : spans)
                         for (std::size_t k = r.offset; k < r.offset + r.len;
@@ -301,22 +303,49 @@ TEST(MultiLinkObjectiveTest, TermUtilityHingeExact) {
 // Max-min monotonicity: the combined score is the worst term utility,
 // and raising any single utility never lowers the combined score.
 TEST(MultiLinkObjectiveTest, MaxMinCombineMonotone) {
-    MultiLinkSpec spec;
+    FusedSpec spec;
     spec.terms.resize(5);
-    spec.combine = MultiLinkSpec::Combine::kMaxMin;
+    spec.combine = FusedSpec::Combine::kMaxMin;
+    const auto combine = [&](const std::vector<double>& u) {
+        double acc = 0.0;
+        for (std::size_t t = 0; t < u.size(); ++t)
+            acc = MultiLinkObjective::fold(spec, t, acc, u[t]);
+        return acc;
+    };
     util::Rng rng(41);
     for (int trial = 0; trial < 32; ++trial) {
         std::vector<double> u(5);
         for (double& v : u) v = rng.uniform(-30.0, 40.0);
-        const double combined = MultiLinkObjective::combine(spec, u.data());
+        const double combined = combine(u);
         EXPECT_EQ(combined, *std::min_element(u.begin(), u.end()));
         for (std::size_t i = 0; i < u.size(); ++i) {
             std::vector<double> raised = u;
             raised[i] += rng.uniform(0.0, 10.0);
-            EXPECT_GE(MultiLinkObjective::combine(spec, raised.data()),
-                      combined);
+            EXPECT_GE(combine(raised), combined);
         }
     }
+}
+
+// A one-term spec scores exactly its term's reduced SNR: the fold starts
+// from the first utility rather than adding it to 0.0, so even a -0 dB
+// reduction keeps its sign, and the single-link objectives (one-term
+// specs themselves) agree with the built composite bit for bit.
+TEST(MultiLinkObjectiveTest, OneTermScoreIsTheReducedSnrBitForBit) {
+    Observation obs;
+    obs.link_snr_db = {{3.0, -0.0, 7.5}, {12.0, 8.0, 15.0}};
+    const auto one_term =
+        MultiLinkProblem().reduce(Reduce::kMinSnr).serve(0).build();
+    const double v = one_term->score(obs);
+    EXPECT_EQ(v, 0.0);
+    EXPECT_TRUE(std::signbit(v));
+    EXPECT_TRUE(std::signbit(control::MinSnrObjective(0).score(obs)));
+    ASSERT_NE(one_term->fused_spec(), nullptr);
+    EXPECT_EQ(one_term->fused_spec()->terms.size(), 1u);
+
+    const auto mean_term = MultiLinkProblem().serve(1).build();
+    EXPECT_EQ(mean_term->score(obs), util::mean(obs.link_snr_db[1]));
+    EXPECT_EQ(control::MeanSnrObjective(1).score(obs),
+              util::mean(obs.link_snr_db[1]));
 }
 
 // Weighted-sum score through the general Observation path must equal the
@@ -325,13 +354,13 @@ TEST(MultiLinkObjectiveTest, WeightedSumScoreMatchesManual) {
     Observation obs;
     obs.link_snr_db = {{12.0, 8.0, 15.0}, {3.0, 5.0, 4.0}, {22.0, 19.0}};
 
-    MultiLinkSpec spec;
+    FusedSpec spec;
     LinkTerm a;  // mean of link 0, weight 2
     a.link = 0;
     a.weight = 2.0;
     LinkTerm b;  // min of link 1 with a 10 dB floor
     b.link = 1;
-    b.reduce = FusedSpec::Kind::kMinSnr;
+    b.reduce = Reduce::kMinSnr;
     b.qos_floor_db = 10.0;
     b.qos_weight = 4.0;
     LinkTerm c;  // null link 2
@@ -346,11 +375,11 @@ TEST(MultiLinkObjectiveTest, WeightedSumScoreMatchesManual) {
     const double expected = 2.0 * mean0 +
                             (min1 - 4.0 * (10.0 - min1)) + (-1.0 * mean2);
     EXPECT_DOUBLE_EQ(objective.score(obs), expected);
-    EXPECT_NE(objective.multilink_spec(), nullptr);
+    EXPECT_NE(objective.fused_spec(), nullptr);
 
     // Max-min over the same terms: worst utility wins.
-    MultiLinkSpec mm = spec;
-    mm.combine = MultiLinkSpec::Combine::kMaxMin;
+    FusedSpec mm = spec;
+    mm.combine = FusedSpec::Combine::kMaxMin;
     const double worst = std::min({2.0 * mean0,
                                    min1 - 4.0 * (10.0 - min1),
                                    -1.0 * mean2});
@@ -364,10 +393,10 @@ TEST(MultiLinkObjectiveTest, ProblemBuilderComposesSpec) {
                                .null(2, 1.5)
                                .max_min()
                                .build("scene");
-    const MultiLinkSpec* spec = objective->multilink_spec();
+    const FusedSpec* spec = objective->fused_spec();
     ASSERT_NE(spec, nullptr);
     ASSERT_EQ(spec->terms.size(), 3u);
-    EXPECT_EQ(spec->combine, MultiLinkSpec::Combine::kMaxMin);
+    EXPECT_EQ(spec->combine, FusedSpec::Combine::kMaxMin);
     EXPECT_EQ(spec->terms[0].link, 0u);
     EXPECT_EQ(spec->terms[0].weight, 2.0);
     EXPECT_EQ(spec->terms[1].qos_floor_db, 10.0);
@@ -376,13 +405,12 @@ TEST(MultiLinkObjectiveTest, ProblemBuilderComposesSpec) {
     EXPECT_EQ(objective->name(), "scene");
 
     const auto maxmin = control::make_max_min_objective(4);
-    ASSERT_NE(maxmin->multilink_spec(), nullptr);
-    EXPECT_EQ(maxmin->multilink_spec()->terms.size(), 4u);
-    EXPECT_EQ(maxmin->multilink_spec()->combine,
-              MultiLinkSpec::Combine::kMaxMin);
+    ASSERT_NE(maxmin->fused_spec(), nullptr);
+    EXPECT_EQ(maxmin->fused_spec()->terms.size(), 4u);
+    EXPECT_EQ(maxmin->fused_spec()->combine, FusedSpec::Combine::kMaxMin);
     const auto null = control::make_nulling_objective(3, 1, 2.0);
-    ASSERT_EQ(null->multilink_spec()->terms.size(), 3u);
-    EXPECT_EQ(null->multilink_spec()->terms[1].weight, -2.0);
+    ASSERT_EQ(null->fused_spec()->terms.size(), 3u);
+    EXPECT_EQ(null->fused_spec()->terms[1].weight, -2.0);
 }
 
 // Weighted sharding: a task that reads `w` group tiles per evaluation
@@ -402,7 +430,7 @@ TEST(MultiLinkBatch, WeightedShardSizePolicy) {
 }
 
 // The headline determinism contract, extended to composite objectives:
-// optimize_multilink lands on the same configuration, bit for bit, for
+// optimize_fast lands on the same configuration, bit for bit, for
 // any evaluator thread count and either kernel flavor — for both the
 // batched vote searcher and the delta-sweeping greedy searcher.
 TEST(MultiLinkSearch, BitIdenticalAcrossThreadsAndKernels) {
@@ -422,7 +450,7 @@ TEST(MultiLinkSearch, BitIdenticalAcrossThreadsAndKernels) {
             probe, scenario.num_links,
             scenario.system.medium().ofdm().num_used());
         util::Rng rng(17);
-        const auto outcome = scenario.system.optimize_multilink(
+        const auto outcome = scenario.system.optimize_fast(
             scenario.array_id, objective, searcher, plane,
             120.0 * trial_s, rng, threads);
         util::kernels::set_dispatch(before);
@@ -472,7 +500,7 @@ TEST(MultiLinkSearch, SharedBasisStaysWarmAcrossSearch) {
         scenario.system.medium().ofdm().num_used());
     const auto objective = control::make_sum_mean_objective(4);
     util::Rng rng(3);
-    const auto outcome = scenario.system.optimize_multilink(
+    const auto outcome = scenario.system.optimize_fast(
         scenario.array_id, *objective, MajorityVoteSearcher(), plane,
         100.0 * trial_s, rng, 2);
     EXPECT_GT(outcome.search.evaluations, 0u);
@@ -482,11 +510,10 @@ TEST(MultiLinkSearch, SharedBasisStaysWarmAcrossSearch) {
     EXPECT_GT(stats.hits, 0u);
 }
 
-// optimize_fast and optimize_multilink are two front ends of one batched
+// optimize_multilink is the former multi-link entry point of the one
 // driver: for any single-link objective — fused or general, masked or
-// not — both land on the same winner with the same scores, evaluation
-// count and rng consumption, bit for bit, whichever basis (per-link
-// entries or stacked transmitter groups) assembles the candidates.
+// not — it lands on optimize_fast's winner with the same scores,
+// evaluation count and rng consumption, bit for bit.
 TEST(MultiLinkSearch, MatchesOptimizeFastForSingleLinkObjectives) {
     struct Scene {
         const char* name;
@@ -507,8 +534,7 @@ TEST(MultiLinkSearch, MatchesOptimizeFastForSingleLinkObjectives) {
     const control::ThroughputObjective throughput;
     const control::WeightedBandObjective bands(
         {{0, 0, half, 1.0}, {0, half, 2 * half, -0.5}});
-    const control::MaskedSnrObjective masked(wide.mask,
-                                             FusedSpec::Kind::kMinSnr);
+    const control::MaskedSnrObjective masked(wide.mask, Reduce::kMinSnr);
     const GreedyCoordinateDescent greedy;
     const control::RandomSearcher random;
     const MajorityVoteSearcher vote(16);
@@ -571,8 +597,89 @@ TEST(MultiLinkSearch, MatchesOptimizeFastForSingleLinkObjectives) {
     }
 }
 
+// A one-term composite is a single-link objective: optimize_fast scores
+// it through the same fused term path over the same one-member basis as
+// MinSnrObjective — one link sounded per candidate, not all 32 — so the
+// two land on the same winner, scores, evaluation count and rng state.
+// The masked row pairs a one-term spec carrying the wideband RU mask
+// with MaskedSnrObjective.
+TEST(MultiLinkSearch, OneTermSpecMatchesSingleLinkObjective) {
+    MultiLinkScenario multi = make_multi_link_scenario(302);
+    WidebandScenario wide = make_wideband_scenario(11);
+    struct Scene {
+        System& system;
+        std::size_t array_id;
+    };
+    Scene scenes[] = {{multi.system, multi.array_id},
+                      {wide.system, wide.array_id}};
+
+    const auto one_term = MultiLinkProblem()
+                              .reduce(Reduce::kMinSnr)
+                              .serve(5)
+                              .build("one-term");
+    const control::MinSnrObjective min_snr(5);
+    FusedSpec masked_spec;
+    masked_spec.terms.push_back({0, Reduce::kMinSnr});
+    masked_spec.mask = &wide.mask;
+    const MultiLinkObjective masked_one_term(masked_spec, "masked-one-term");
+    const control::MaskedSnrObjective masked(wide.mask, Reduce::kMinSnr);
+    const GreedyCoordinateDescent greedy;
+    const MajorityVoteSearcher vote(16);
+
+    struct Case {
+        std::size_t scene;
+        const control::Objective& spec;
+        const control::Objective& single;
+        const control::Searcher& searcher;
+        std::size_t threads;
+    };
+    std::vector<Case> cases;
+    for (const control::Searcher* searcher :
+         {static_cast<const control::Searcher*>(&greedy),
+          static_cast<const control::Searcher*>(&vote)})
+        for (const std::size_t threads : {1u, 3u}) {
+            cases.push_back({0, *one_term, min_snr, *searcher, threads});
+            cases.push_back({1, masked_one_term, masked, *searcher, threads});
+        }
+
+    const ControlPlaneModel plane = ControlPlaneModel::fast();
+    for (const Case& c : cases) {
+        Scene& scene = scenes[c.scene];
+        const surface::Config initial =
+            scene.system.medium().array(scene.array_id).current_config();
+        control::SetConfig probe;
+        probe.config = initial;
+        const double budget_s =
+            24.0 * plane.config_trial_time_s(
+                       probe, scene.system.num_links(),
+                       scene.system.medium().ofdm().num_used());
+        const auto run = [&](const control::Objective& objective,
+                             util::Rng& rng) {
+            scene.system.apply(scene.array_id, initial);
+            return scene.system
+                .optimize_fast(scene.array_id, objective, c.searcher, plane,
+                               budget_s, rng, c.threads)
+                .search;
+        };
+        util::Rng spec_rng(5), single_rng(5);
+        const SearchResult spec = run(c.spec, spec_rng);
+        const SearchResult single = run(c.single, single_rng);
+        const std::string label = c.spec.name() + " / " +
+                                  c.searcher.name() + " / " +
+                                  std::to_string(c.threads) + " threads";
+        EXPECT_GT(single.evaluations, 0u) << label;
+        EXPECT_EQ(spec.best_config, single.best_config) << label;
+        EXPECT_EQ(spec.best_score, single.best_score) << label;
+        EXPECT_EQ(spec.best_score_remeasured, single.best_score_remeasured)
+            << label;
+        EXPECT_EQ(spec.evaluations, single.evaluations) << label;
+        EXPECT_TRUE(spec_rng.engine() == single_rng.engine()) << label;
+    }
+}
+
 // Composite presets ride the existing wire format: selectors >= 3
-// validate against the live scene and run through optimize_multilink.
+// validate against the live scene, and every preset runs through
+// optimize_fast — a reply equals the direct call with the same seed.
 TEST(MultiLinkService, PresetsValidateAndOptimize) {
     MultiLinkScenario scenario = make_multi_link_scenario(5, small_params());
     ServeConfig config;
@@ -601,6 +708,42 @@ TEST(MultiLinkService, PresetsValidateAndOptimize) {
     const control::EngineResult result = engine.optimize(req, 5e-3);
     EXPECT_TRUE(result.ok);
     EXPECT_GT(result.evaluations, 0u);
+
+    // A composite and a single-link preset reply exactly what a direct
+    // optimize_fast call with the engine's seed returns: score,
+    // evaluations and the configuration left applied.
+    req.link_id = 1;
+    for (const auto preset : {control::ServiceObjective::kMaxMinFair,
+                              control::ServiceObjective::kMinSnr}) {
+        req.objective = static_cast<std::uint8_t>(preset);
+        MultiLinkScenario served =
+            make_multi_link_scenario(5, small_params());
+        const control::EngineResult reply =
+            make_service_engine(served.system, config).optimize(req, 5e-3);
+
+        MultiLinkScenario direct =
+            make_multi_link_scenario(5, small_params());
+        const auto objective =
+            preset == control::ServiceObjective::kMinSnr
+                ? std::unique_ptr<control::Objective>(
+                      std::make_unique<control::MinSnrObjective>(1))
+                : control::make_max_min_objective(direct.num_links);
+        util::Rng rng(config.seed);
+        const control::OptimizationOutcome outcome =
+            direct.system.optimize_fast(0, *objective,
+                                        GreedyCoordinateDescent(),
+                                        config.plane, 5e-3, rng,
+                                        config.threads);
+        const std::string label =
+            "preset " + std::to_string(static_cast<int>(preset));
+        EXPECT_TRUE(reply.ok) << label;
+        EXPECT_EQ(reply.best_score, outcome.search.best_score_remeasured)
+            << label;
+        EXPECT_EQ(reply.evaluations, outcome.search.evaluations) << label;
+        EXPECT_EQ(served.system.medium().array(0).current_config(),
+                  direct.system.medium().array(0).current_config())
+            << label;
+    }
 
     // Nulling needs a victim AND a served link: a single-link scene must
     // reject the preset at validation.

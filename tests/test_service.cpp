@@ -857,7 +857,8 @@ TEST(Service, SlowSubscriberDropsOldestTelemetryNotReplies) {
 
     // Once the watcher finally drains, the newest frames are intact and
     // strictly ordered by revision.
-    const auto frames = telemetry_frames(watcher.read());
+    const std::vector<Decoded> drained = watcher.read();
+    const auto frames = telemetry_frames(drained);
     ASSERT_GT(frames.size(), 0u);
     std::uint64_t last_revision = 0;
     for (const auto* tf : frames) {
@@ -940,9 +941,9 @@ TEST(Service, StatusReportsUptimeAndAdvancingRevision) {
     service.advance_clock(1.0);
     (void)service.run_cycle();
     client.send(Message{StatusRequest{}});
-    replies = client.read();
-    ASSERT_EQ(replies.size(), 1u);
-    const auto* later = std::get_if<StatusReply>(&replies[0].message);
+    const auto later_replies = client.read();
+    ASSERT_EQ(later_replies.size(), 1u);
+    const auto* later = std::get_if<StatusReply>(&later_replies[0].message);
     ASSERT_NE(later, nullptr);
     EXPECT_GT(later->revision, status->revision);
     EXPECT_GT(later->uptime_s, status->uptime_s);

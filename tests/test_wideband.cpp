@@ -368,12 +368,12 @@ TEST(WidebandCache, ElementRowDeltaMatchesTwoStepBitExactly) {
                                  scenario.array_id, config, element, base);
         ASSERT_EQ(base.size(), num_sc);
 
-        // Full width: fused single pass == copy + accumulate_element_row.
+        // Full width: fused single pass == copy + add_row.
         two.resize(num_sc);
         kernels::copy(kernels::active(), base.re.data(), base.im.data(),
                       two.re.data(), two.im.data(), num_sc);
-        cache.accumulate_element_row(scenario.link_id, scenario.array_id,
-                                     element, state, two);
+        cache.basis(scenario.link_id)
+            .add_row(scenario.array_id, element, state, nullptr, 0, two);
         fused.resize(num_sc);
         cache.element_row_delta(scenario.link_id, scenario.array_id, element,
                                 state, base, fused);
@@ -384,9 +384,9 @@ TEST(WidebandCache, ElementRowDeltaMatchesTwoStepBitExactly) {
         // result on every covered double.
         kernels::SplitVec ranged;
         ranged.assign_zero(num_sc);
-        cache.element_row_delta_ranges(scenario.link_id, scenario.array_id,
-                                       element, state, spans.data(),
-                                       spans.size(), base, ranged);
+        cache.basis(scenario.link_id)
+            .row_delta(scenario.array_id, element, state, spans.data(),
+                       spans.size(), base, ranged);
         for (const IndexRange& r : spans)
             for (std::size_t k = r.offset; k < r.offset + r.len; ++k) {
                 EXPECT_EQ(ranged.re[k], fused.re[k]);
@@ -413,9 +413,9 @@ TEST(WidebandCache, RangedReadsMatchFullWidthOnSpans) {
     cache.response_into(medium, scenario.link_id, link, scenario.array_id,
                         config, full);
     ranged.assign_zero(num_sc);
-    cache.response_ranges_into(medium, scenario.link_id, link,
-                               scenario.array_id, config, spans.data(),
-                               spans.size(), ranged);
+    cache.basis(scenario.link_id)
+        .read(medium, scenario.array_id, config, core::StackedBasis::kNoSkip,
+              spans.data(), spans.size(), ranged);
     for (const IndexRange& r : spans)
         for (std::size_t k = r.offset; k < r.offset + r.len; ++k) {
             EXPECT_EQ(ranged.re[k], full.re[k]);
@@ -444,9 +444,9 @@ TEST(WidebandCache, GroupResponseRangesMatchesFullOnSpans) {
         cache.group_response_into(system.medium(), group, scenario.array_id,
                                   config, full);
         ranged.assign_zero(full.size());
-        cache.group_response_ranges_into(system.medium(), group,
-                                         scenario.array_id, config,
-                                         spans.data(), spans.size(), ranged);
+        cache.group_basis(group).read(system.medium(), scenario.array_id,
+                                      config, core::StackedBasis::kNoSkip,
+                                      spans.data(), spans.size(), ranged);
         const std::size_t stride = cache.link_stride();
         for (std::size_t slot = 0; slot * stride < full.size(); ++slot)
             for (const IndexRange& r : spans)
@@ -475,8 +475,7 @@ TEST(WidebandSearch, MaskedOptimizeBitIdenticalAcrossThreadsDeltaKernels) {
         util::Rng rng(21);
         const auto outcome = scenario.system.optimize_fast(
             scenario.array_id,
-            MaskedSnrObjective(scenario.mask,
-                               control::FusedSpec::Kind::kMinSnr),
+            MaskedSnrObjective(scenario.mask, control::Reduce::kMinSnr),
             GreedyCoordinateDescent(), ControlPlaneModel::fast(), 0.05,
             rng, threads);
         if (delta) ::unsetenv("PRESS_DELTA");
