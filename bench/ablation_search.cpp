@@ -120,7 +120,8 @@ void BM_SearcherAtBudget(benchmark::State& state) {
         benchmark::DoNotOptimize(result.best_score);
     }
 }
-BENCHMARK(BM_SearcherAtBudget)->DenseRange(0, 4)
+BENCHMARK(BM_SearcherAtBudget)
+    ->DenseRange(0, static_cast<int>(control::all_searchers().size()) - 1)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

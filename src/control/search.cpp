@@ -14,44 +14,10 @@ namespace press::control {
 
 namespace {
 
-/// Shared bookkeeping: runs evaluations, tracks the best and trajectory.
-class Tracker {
-public:
-    Tracker(const EvalFn& eval, std::size_t max_evals, const StopFn& stop)
-        : eval_(eval), max_evals_(max_evals), stop_(stop) {}
-
-    bool exhausted() const {
-        return result_.evaluations >= max_evals_ || (stop_ && stop_());
-    }
-
-    std::size_t evaluations() const { return result_.evaluations; }
-
-    /// Evaluates `c` (unconditionally; strategies wanting memoization
-    /// should avoid repeats themselves). Returns the score.
-    double evaluate(const surface::Config& c) {
-        PRESS_EXPECTS(!exhausted(), "evaluation budget exceeded");
-        const double s = eval_(c);
-        ++result_.evaluations;
-        if (result_.trajectory.empty() || s > result_.best_score) {
-            result_.best_score = s;
-            result_.best_config = c;
-        }
-        result_.trajectory.push_back(result_.best_score);
-        return s;
-    }
-
-    SearchResult take() { return std::move(result_); }
-
-private:
-    const EvalFn& eval_;
-    std::size_t max_evals_;
-    const StopFn& stop_;
-    SearchResult result_;
-};
-
-/// Batched counterpart of Tracker: scores whole candidate groups through a
-/// BatchEvalFn and folds them into the result in proposal order, so the
-/// outcome is independent of how the callee parallelizes the batch.
+/// The one search bookkeeper: scores candidate groups through a
+/// BatchEvalFn (or one element's states through a CoordinateEvalFn) and
+/// folds them into the result in proposal order, so the outcome is
+/// independent of how the callee parallelizes a batch.
 class BatchTracker {
 public:
     BatchTracker(const BatchEvalFn& eval, std::size_t max_evals,
@@ -69,56 +35,63 @@ public:
 
     /// Scores up to remaining() candidates from `batch` (truncating the
     /// tail if the budget runs short) and returns the scores actually
-    /// produced — compare sizes to detect truncation.
+    /// produced — shorter than the proposal when the budget truncated it
+    /// or a stop cut it.
     std::vector<double> evaluate(std::vector<surface::Config> batch) {
         PRESS_EXPECTS(!exhausted(), "evaluation budget exceeded");
         if (batch.size() > remaining()) batch.resize(remaining());
-        std::vector<double> scores = eval_(batch);
-        PRESS_EXPECTS(scores.size() == batch.size(),
-                      "batch evaluator returned a mismatched score count");
-        for (std::size_t i = 0; i < batch.size(); ++i) {
-            ++result_.evaluations;
-            if (result_.trajectory.empty() ||
-                scores[i] > result_.best_score) {
-                result_.best_score = scores[i];
-                result_.best_config = batch[i];
-            }
-            result_.trajectory.push_back(result_.best_score);
-        }
-        return scores;
+        return fold(eval_(batch), batch.size(),
+                    [&](std::size_t i) { result_.best_config = batch[i]; });
     }
 
-    /// Coordinate-sweep counterpart: scores up to remaining() states of
-    /// `element` over `base` through a CoordinateEvalFn (truncating the
-    /// tail if the budget runs short) and folds them in proposal order —
-    /// the same accounting evaluate() would do for the equivalent
-    /// materialized batch.
+    /// A one-candidate batch: never truncated (the tracker is not
+    /// exhausted) and never cut (a cut reply keeps its first score).
+    double evaluate_one(const surface::Config& c) {
+        return evaluate(std::vector<surface::Config>{c})[0];
+    }
+
+    /// Coordinate-sweep counterpart of evaluate(): scores up to
+    /// remaining() states of `element` over `base` through a
+    /// CoordinateEvalFn.
     std::vector<double> evaluate_coordinate(const CoordinateEvalFn& coord,
                                             const surface::Config& base,
                                             std::size_t element,
                                             std::vector<int> states) {
         PRESS_EXPECTS(!exhausted(), "evaluation budget exceeded");
         if (states.size() > remaining()) states.resize(remaining());
-        std::vector<double> scores = coord(base, element, states);
-        PRESS_EXPECTS(scores.size() == states.size(),
-                      "coordinate evaluator returned a mismatched score "
-                      "count");
-        for (std::size_t i = 0; i < states.size(); ++i) {
+        return fold(coord(base, element, states), states.size(),
+                    [&](std::size_t i) {
+                        result_.best_config = base;
+                        result_.best_config[element] = states[i];
+                    });
+    }
+
+    SearchResult take() { return std::move(result_); }
+
+private:
+    /// Folds the scores of the first scores.size() of `proposed`
+    /// candidates; `set_best(i)` stores candidate i as the best config.
+    /// A reply may be short only when it is non-empty and `stop` holds
+    /// after it — the evaluator ended the batch on the deadline.
+    template <class SetBest>
+    std::vector<double> fold(std::vector<double> scores,
+                             std::size_t proposed, const SetBest& set_best) {
+        PRESS_EXPECTS(scores.size() == proposed ||
+                          (!scores.empty() && scores.size() < proposed &&
+                           stop_ && stop_()),
+                      "evaluator returned a mismatched score count");
+        for (std::size_t i = 0; i < scores.size(); ++i) {
             ++result_.evaluations;
             if (result_.trajectory.empty() ||
                 scores[i] > result_.best_score) {
                 result_.best_score = scores[i];
-                result_.best_config = base;
-                result_.best_config[element] = states[i];
+                set_best(i);
             }
             result_.trajectory.push_back(result_.best_score);
         }
         return scores;
     }
 
-    SearchResult take() { return std::move(result_); }
-
-private:
     const BatchEvalFn& eval_;
     std::size_t max_evals_;
     const StopFn& stop_;
@@ -165,68 +138,42 @@ surface::Config random_config(const surface::ConfigSpace& space,
     return c;
 }
 
-/// Serial-entry adapter for strategies whose only real implementation is
-/// batched: wraps the scalar EvalFn so search() and search_batched()
-/// run the exact same code path (and therefore the same rng draws).
-BatchEvalFn serialize_eval(const EvalFn& eval) {
-    return [&eval](const std::vector<surface::Config>& batch) {
-        std::vector<double> scores;
-        scores.reserve(batch.size());
-        for (const surface::Config& c : batch) scores.push_back(eval(c));
-        return scores;
-    };
-}
-
 }  // namespace
 
+SearchResult Searcher::search(const surface::ConfigSpace& space,
+                              const EvalFn& eval, std::size_t max_evals,
+                              util::Rng& rng, const StopFn& stop) const {
+    // Score each proposed batch one candidate at a time and end it at the
+    // first candidate after which `stop` holds: the tracker takes the
+    // short reply as the batch's end, so no round overruns the deadline.
+    const BatchEvalFn one_at_a_time =
+        [&eval, &stop](const std::vector<surface::Config>& batch) {
+            std::vector<double> scores;
+            scores.reserve(batch.size());
+            for (const surface::Config& c : batch) {
+                scores.push_back(eval(c));
+                if (scores.size() < batch.size() && stop && stop()) break;
+            }
+            return scores;
+        };
+    return search_batched(space, one_at_a_time, CoordinateEvalFn{},
+                          max_evals, rng, stop, 1);
+}
+
 SearchResult Searcher::search_batched(const surface::ConfigSpace& space,
                                       const BatchEvalFn& eval,
                                       std::size_t max_evals, util::Rng& rng,
                                       const StopFn& stop,
                                       std::size_t batch_hint) const {
-    // Default adapter: run the serial strategy through one-candidate
-    // batches. Strategies with natural batch structure override this.
-    (void)batch_hint;
-    const EvalFn one = [&eval](const surface::Config& c) {
-        const std::vector<double> scores =
-            eval(std::vector<surface::Config>{c});
-        PRESS_EXPECTS(scores.size() == 1,
-                      "batch evaluator returned a mismatched score count");
-        return scores[0];
-    };
-    return search(space, one, max_evals, rng, stop);
-}
-
-SearchResult Searcher::search_batched(const surface::ConfigSpace& space,
-                                      const BatchEvalFn& eval,
-                                      const CoordinateEvalFn& coordinate,
-                                      std::size_t max_evals, util::Rng& rng,
-                                      const StopFn& stop,
-                                      std::size_t batch_hint) const {
-    // Base adapter: strategies without coordinate structure simply ignore
-    // the hook (virtual dispatch still reaches their batched override).
-    (void)coordinate;
-    return search_batched(space, eval, max_evals, rng, stop, batch_hint);
-}
-
-SearchResult ExhaustiveSearcher::search(const surface::ConfigSpace& space,
-                                        const EvalFn& eval,
-                                        std::size_t max_evals,
-                                        util::Rng& rng,
-                                        const StopFn& stop) const {
-    (void)rng;
-    PRESS_EXPECTS(max_evals >= 1, "need a positive budget");
-    Tracker t(eval, max_evals, stop);
-    const std::uint64_t n = space.size();
-    for (std::uint64_t i = 0; i < n && !t.exhausted(); ++i)
-        t.evaluate(space.at(i));
-    return t.take();
+    return search_batched(space, eval, CoordinateEvalFn{}, max_evals, rng,
+                          stop, batch_hint);
 }
 
 SearchResult ExhaustiveSearcher::search_batched(
     const surface::ConfigSpace& space, const BatchEvalFn& eval,
-    std::size_t max_evals, util::Rng& rng, const StopFn& stop,
-    std::size_t batch_hint) const {
+    const CoordinateEvalFn& coordinate, std::size_t max_evals,
+    util::Rng& rng, const StopFn& stop, std::size_t batch_hint) const {
+    (void)coordinate;
     (void)rng;
     PRESS_EXPECTS(max_evals >= 1, "need a positive budget");
     BatchTracker t(eval, max_evals, stop);
@@ -247,85 +194,16 @@ SearchResult ExhaustiveSearcher::search_batched(
     return t.take();
 }
 
-SearchResult RandomSearcher::search(const surface::ConfigSpace& space,
-                                    const EvalFn& eval,
-                                    std::size_t max_evals, util::Rng& rng,
-                                    const StopFn& stop) const {
-    PRESS_EXPECTS(max_evals >= 1, "need a positive budget");
-    Tracker t(eval, max_evals, stop);
-    while (!t.exhausted()) t.evaluate(random_config(space, rng));
-    return t.take();
-}
-
-SearchResult GreedyCoordinateDescent::search(const surface::ConfigSpace& space,
-                                             const EvalFn& eval,
-                                             std::size_t max_evals,
-                                             util::Rng& rng,
-                                             const StopFn& stop) const {
-    PRESS_EXPECTS(max_evals >= 1, "need a positive budget");
-    Tracker t(eval, max_evals, stop);
-    ScoreMemo memo;
-    const std::size_t memo_cap =
-        memo_entry_cap(space.num_elements(), max_evals);
-    memo.reserve(memo_cap);
-    const auto memoize = [&memo, memo_cap](const surface::Config& c,
-                                           double s) {
-        if (memo.size() < memo_cap) memo.emplace(c, s);
-    };
-    while (!t.exhausted()) {
-        // One restart pass of the descent; nested under the caller's
-        // optimize span, so a trace shows how rounds split the budget.
-        obs::TraceSpan round_span("control.search.round");
-        const std::size_t evals_at_restart = t.evaluations();
-        surface::Config current = random_config(space, rng);
-        double current_score;
-        if (auto it = memo.find(current); it != memo.end()) {
-            current_score = it->second;
-        } else {
-            current_score = t.evaluate(current);
-            memoize(current, current_score);
-        }
-        bool improved = true;
-        while (improved && !t.exhausted()) {
-            improved = false;
-            for (std::size_t e = 0;
-                 e < space.num_elements() && !t.exhausted(); ++e) {
-                const int original = current[e];
-                int best_state = original;
-                for (int s = 0; s < space.radices()[e] && !t.exhausted();
-                     ++s) {
-                    if (s == original) continue;
-                    current[e] = s;
-                    double score;
-                    if (auto it = memo.find(current); it != memo.end()) {
-                        score = it->second;
-                    } else {
-                        score = t.evaluate(current);
-                        memoize(current, score);
-                    }
-                    if (score > current_score) {
-                        current_score = score;
-                        best_state = s;
-                        improved = true;
-                    }
-                }
-                current[e] = best_state;
-            }
-        }
-        // Random restart when a local optimum is reached with budget left.
-        // If the whole restart pass rode the memo (no fresh evaluations),
-        // the reachable region is already scored — stop rather than spin.
-        if (t.evaluations() == evals_at_restart) break;
-    }
-    return t.take();
-}
-
-SearchResult GreedyCoordinateDescent::search_batched(
+SearchResult RandomSearcher::search_batched(
     const surface::ConfigSpace& space, const BatchEvalFn& eval,
-    std::size_t max_evals, util::Rng& rng, const StopFn& stop,
-    std::size_t batch_hint) const {
-    return search_batched(space, eval, CoordinateEvalFn{}, max_evals, rng,
-                          stop, batch_hint);
+    const CoordinateEvalFn& coordinate, std::size_t max_evals,
+    util::Rng& rng, const StopFn& stop, std::size_t batch_hint) const {
+    (void)coordinate;
+    (void)batch_hint;
+    PRESS_EXPECTS(max_evals >= 1, "need a positive budget");
+    BatchTracker t(eval, max_evals, stop);
+    while (!t.exhausted()) t.evaluate_one(random_config(space, rng));
+    return t.take();
 }
 
 SearchResult GreedyCoordinateDescent::search_batched(
@@ -342,9 +220,14 @@ SearchResult GreedyCoordinateDescent::search_batched(
     const auto memoize = [&memo, memo_cap](surface::Config c, double s) {
         if (memo.size() < memo_cap) memo.emplace(std::move(c), s);
     };
+    // Per-state scores of the element being swept; the incumbent state
+    // and unscored ones hold -inf, which never improves on anything.
+    constexpr double kUnscored = -std::numeric_limits<double>::infinity();
+    std::vector<double> state_scores;
+    std::vector<int> fresh_states;
     while (!t.exhausted()) {
-        // One restart pass; same span name as the serial variant so the
-        // two produce comparable trees.
+        // One restart pass of the descent; nested under the caller's
+        // optimize span, so a trace shows how rounds split the budget.
         obs::TraceSpan round_span("control.search.round");
         const std::size_t evals_at_restart = t.evaluations();
         surface::Config current = random_config(space, rng);
@@ -352,10 +235,7 @@ SearchResult GreedyCoordinateDescent::search_batched(
         if (auto it = memo.find(current); it != memo.end()) {
             current_score = it->second;
         } else {
-            const std::vector<double> scores =
-                t.evaluate(std::vector<surface::Config>{current});
-            if (scores.empty()) break;
-            current_score = scores[0];
+            current_score = t.evaluate_one(current);
             memoize(current, current_score);
         }
         bool improved = true;
@@ -364,23 +244,20 @@ SearchResult GreedyCoordinateDescent::search_batched(
             for (std::size_t e = 0;
                  e < space.num_elements() && !t.exhausted(); ++e) {
                 const int original = current[e];
-                int best_state = original;
-                double best_score = current_score;
                 // Memoized alternatives are free; unseen ones become the
-                // batch, in ascending state order (matching the serial
-                // sweep's evaluation order). With a coordinate hook the
-                // candidate configurations are never materialized — the
-                // callee reconstructs them from (base, element, state).
-                std::vector<int> fresh_states;
+                // batch, in ascending state order. With a coordinate hook
+                // the candidate configurations are never materialized —
+                // the callee reconstructs them from (base, element,
+                // state).
+                const int radix = space.radices()[e];
+                state_scores.assign(static_cast<std::size_t>(radix), kUnscored);
+                fresh_states.clear();
                 std::vector<surface::Config> batch;
-                for (int s = 0; s < space.radices()[e]; ++s) {
+                for (int s = 0; s < radix; ++s) {
                     if (s == original) continue;
                     current[e] = s;
                     if (auto it = memo.find(current); it != memo.end()) {
-                        if (it->second > best_score) {
-                            best_score = it->second;
-                            best_state = s;
-                        }
+                        state_scores[static_cast<std::size_t>(s)] = it->second;
                     } else {
                         fresh_states.push_back(s);
                         if (!coordinate) batch.push_back(current);
@@ -394,15 +271,26 @@ SearchResult GreedyCoordinateDescent::search_batched(
                                                            fresh_states)
                                    : t.evaluate(std::move(batch));
                     // scores may be shorter than the proposal when the
-                    // budget truncated the tail.
+                    // budget truncated the tail or a stop cut it; either
+                    // leaves the tracker exhausted, ending the descent.
                     for (std::size_t i = 0; i < scores.size(); ++i) {
                         surface::Config scored = current;
                         scored[e] = fresh_states[i];
                         memoize(std::move(scored), scores[i]);
-                        if (scores[i] > best_score) {
-                            best_score = scores[i];
-                            best_state = fresh_states[i];
-                        }
+                        state_scores[static_cast<std::size_t>(
+                            fresh_states[i])] = scores[i];
+                    }
+                }
+                // Memo hits and fresh scores fold in ascending state
+                // order, so the first strict improvement wins exact ties.
+                int best_state = original;
+                double best_score = current_score;
+                for (int s = 0; s < radix; ++s) {
+                    const double score =
+                        state_scores[static_cast<std::size_t>(s)];
+                    if (score > best_score) {
+                        best_score = score;
+                        best_state = s;
                     }
                 }
                 if (best_state != original) {
@@ -412,6 +300,9 @@ SearchResult GreedyCoordinateDescent::search_batched(
                 }
             }
         }
+        // Random restart when a local optimum is reached with budget left.
+        // If the whole restart pass rode the memo (no fresh evaluations),
+        // the reachable region is already scored — stop rather than spin.
         if (t.evaluations() == evals_at_restart) break;
     }
     return t.take();
@@ -424,14 +315,17 @@ SimulatedAnnealingSearcher::SimulatedAnnealingSearcher(double initial_temp,
     PRESS_EXPECTS(cooling > 0.0 && cooling < 1.0, "cooling must be in (0,1)");
 }
 
-SearchResult SimulatedAnnealingSearcher::search(
-    const surface::ConfigSpace& space, const EvalFn& eval,
-    std::size_t max_evals, util::Rng& rng, const StopFn& stop) const {
+SearchResult SimulatedAnnealingSearcher::search_batched(
+    const surface::ConfigSpace& space, const BatchEvalFn& eval,
+    const CoordinateEvalFn& coordinate, std::size_t max_evals,
+    util::Rng& rng, const StopFn& stop, std::size_t batch_hint) const {
+    (void)coordinate;
+    (void)batch_hint;
     PRESS_EXPECTS(max_evals >= 1, "need a positive budget");
-    Tracker t(eval, max_evals, stop);
+    BatchTracker t(eval, max_evals, stop);
     if (t.exhausted()) return t.take();
     surface::Config current = random_config(space, rng);
-    double current_score = t.evaluate(current);
+    double current_score = t.evaluate_one(current);
     double temp = initial_temp_;
     while (!t.exhausted()) {
         // Mutate one element to a different state (when it has one).
@@ -444,7 +338,7 @@ SearchResult SimulatedAnnealingSearcher::search(
             if (s >= candidate[e]) ++s;
             candidate[e] = s;
         }
-        const double score = t.evaluate(candidate);
+        const double score = t.evaluate_one(candidate);
         const double delta = score - current_score;
         if (delta >= 0.0 ||
             rng.chance(std::exp(std::max(delta / temp, -50.0)))) {
@@ -464,12 +358,14 @@ GeneticSearcher::GeneticSearcher(std::size_t population,
                   "mutation rate must be a probability");
 }
 
-SearchResult GeneticSearcher::search(const surface::ConfigSpace& space,
-                                     const EvalFn& eval,
-                                     std::size_t max_evals, util::Rng& rng,
-                                     const StopFn& stop) const {
+SearchResult GeneticSearcher::search_batched(
+    const surface::ConfigSpace& space, const BatchEvalFn& eval,
+    const CoordinateEvalFn& coordinate, std::size_t max_evals,
+    util::Rng& rng, const StopFn& stop, std::size_t batch_hint) const {
+    (void)coordinate;
+    (void)batch_hint;
     PRESS_EXPECTS(max_evals >= 1, "need a positive budget");
-    Tracker t(eval, max_evals, stop);
+    BatchTracker t(eval, max_evals, stop);
 
     struct Individual {
         surface::Config config;
@@ -478,7 +374,7 @@ SearchResult GeneticSearcher::search(const surface::ConfigSpace& space,
     std::vector<Individual> pop;
     for (std::size_t i = 0; i < population_ && !t.exhausted(); ++i) {
         Individual ind{random_config(space, rng), 0.0};
-        ind.fitness = t.evaluate(ind.config);
+        ind.fitness = t.evaluate_one(ind.config);
         pop.push_back(std::move(ind));
     }
 
@@ -504,7 +400,7 @@ SearchResult GeneticSearcher::search(const surface::ConfigSpace& space,
                     rng.uniform_int(0, space.radices()[e] - 1));
             }
         }
-        child.fitness = t.evaluate(child.config);
+        child.fitness = t.evaluate_one(child.config);
         // Steady-state replacement of the current worst individual.
         auto worst = std::min_element(
             pop.begin(), pop.end(),
@@ -531,24 +427,6 @@ MajorityVoteSearcher::MajorityVoteSearcher(std::size_t probes_per_round,
                   "flip decay must be in (0, 1]");
     PRESS_EXPECTS(min_flip_prob > 0.0 && min_flip_prob <= flip_prob,
                   "min flip probability must be in (0, flip_prob]");
-}
-
-SearchResult MajorityVoteSearcher::search(const surface::ConfigSpace& space,
-                                          const EvalFn& eval,
-                                          std::size_t max_evals,
-                                          util::Rng& rng,
-                                          const StopFn& stop) const {
-    const BatchEvalFn batched = serialize_eval(eval);
-    return search_batched(space, batched, CoordinateEvalFn{}, max_evals,
-                          rng, stop, 1);
-}
-
-SearchResult MajorityVoteSearcher::search_batched(
-    const surface::ConfigSpace& space, const BatchEvalFn& eval,
-    std::size_t max_evals, util::Rng& rng, const StopFn& stop,
-    std::size_t batch_hint) const {
-    return search_batched(space, eval, CoordinateEvalFn{}, max_evals, rng,
-                          stop, batch_hint);
 }
 
 SearchResult MajorityVoteSearcher::search_batched(
@@ -581,17 +459,9 @@ SearchResult MajorityVoteSearcher::search_batched(
             .add(element_flips);
     };
 
+    if (t.exhausted()) return t.take();
     surface::Config current = random_config(space, rng);
-    double current_score;
-    {
-        const std::vector<double> seed_score =
-            t.evaluate(std::vector<surface::Config>{current});
-        if (seed_score.empty()) {
-            publish();
-            return t.take();
-        }
-        current_score = seed_score[0];
-    }
+    double current_score = t.evaluate_one(current);
 
     // Per-(element, state) vote accumulators, cumulative across rounds:
     // one element's signal is a ~1/n sliver of each probe's score, far
@@ -621,11 +491,10 @@ SearchResult MajorityVoteSearcher::search_batched(
             probes.push_back(std::move(probe));
         }
         // Keep the proposal list: scores[i] belongs to probes[i], and a
-        // budget-truncated tail simply contributes no votes.
+        // truncated or cut tail simply contributes no votes.
         const std::vector<double> scores = t.evaluate(probes);
         ++rounds;
         probes_measured += scores.size();
-        if (scores.empty()) break;
         // Votes are per-round *deltas* (score minus the round's mean), so
         // the incumbent's round-over-round improvement cancels out of the
         // comparison: without centering, incumbent states — which dominate
@@ -669,15 +538,13 @@ SearchResult MajorityVoteSearcher::search_batched(
             }
         }
         if (consensus != current) {
-            const std::vector<double> consensus_score =
-                t.evaluate(std::vector<surface::Config>{consensus});
-            if (consensus_score.empty()) break;
-            if (consensus_score[0] > current_score) {
+            const double consensus_score = t.evaluate_one(consensus);
+            if (consensus_score > current_score) {
                 ++adoptions;
                 for (std::size_t e = 0; e < n; ++e)
                     if (consensus[e] != current[e]) ++element_flips;
                 current = std::move(consensus);
-                current_score = consensus_score[0];
+                current_score = consensus_score;
             }
         }
         flip = std::max(flip * flip_decay_, min_flip_prob_);
@@ -692,22 +559,6 @@ RandomizedPartitionSearcher::RandomizedPartitionSearcher(
     PRESS_EXPECTS(initial_groups >= 1, "need at least one group");
     PRESS_EXPECTS(max_groups >= initial_groups,
                   "max groups must be at least the initial group count");
-}
-
-SearchResult RandomizedPartitionSearcher::search(
-    const surface::ConfigSpace& space, const EvalFn& eval,
-    std::size_t max_evals, util::Rng& rng, const StopFn& stop) const {
-    const BatchEvalFn batched = serialize_eval(eval);
-    return search_batched(space, batched, CoordinateEvalFn{}, max_evals,
-                          rng, stop, 1);
-}
-
-SearchResult RandomizedPartitionSearcher::search_batched(
-    const surface::ConfigSpace& space, const BatchEvalFn& eval,
-    std::size_t max_evals, util::Rng& rng, const StopFn& stop,
-    std::size_t batch_hint) const {
-    return search_batched(space, eval, CoordinateEvalFn{}, max_evals, rng,
-                          stop, batch_hint);
 }
 
 SearchResult RandomizedPartitionSearcher::search_batched(
@@ -729,17 +580,9 @@ SearchResult RandomizedPartitionSearcher::search_batched(
         registry.counter("control.search.partition.accepts").add(accepts);
     };
 
+    if (t.exhausted()) return t.take();
     surface::Config current = random_config(space, rng);
-    double current_score;
-    {
-        const std::vector<double> seed_score =
-            t.evaluate(std::vector<surface::Config>{current});
-        if (seed_score.empty()) {
-            publish();
-            return t.take();
-        }
-        current_score = seed_score[0];
-    }
+    double current_score = t.evaluate_one(current);
 
     std::vector<std::size_t> perm(n);
     for (std::size_t i = 0; i < n; ++i) perm[i] = i;

@@ -39,10 +39,11 @@ using CoordinateEvalFn = std::function<std::vector<double>(
     const surface::Config& base, std::size_t element,
     const std::vector<int>& states)>;
 
-/// Optional early-termination predicate checked before every evaluation.
-/// Lets a controller end a search when simulated wall-clock (not just the
-/// evaluation count) runs out — e.g. when control-channel retries have
-/// eaten the coherence-time budget.
+/// Optional early-termination predicate. Lets a controller end a search
+/// when simulated wall-clock (not just the evaluation count) runs out —
+/// e.g. when control-channel retries have eaten the coherence-time budget.
+/// The batched body checks it between batches; the serial entry also
+/// checks it between the candidates of a batch (see Searcher::search).
 using StopFn = std::function<bool()>;
 
 /// Outcome of a search.
@@ -78,26 +79,31 @@ struct SearchResult {
     std::vector<double> trajectory;
 };
 
-/// Strategy interface.
+/// Strategy interface. Every strategy has exactly one search body, the
+/// coordinate-aware search_batched overload; the other two entries are
+/// adapters onto it, so serial and batched callers run the same
+/// candidates and the same rng draws by construction. All three stay
+/// virtual so a decorator (a timing wrapper, say) can intercept each
+/// entry; strategies implement the body alone and unhide the adapters
+/// with `using Searcher::search_batched;`.
 class Searcher {
 public:
     virtual ~Searcher() = default;
 
-    /// Runs at most `max_evals` evaluations of `eval` over `space`,
-    /// stopping early as soon as `stop` (when provided) returns true.
+    /// Serial entry: runs at most `max_evals` evaluations of `eval` over
+    /// `space`, stopping as soon as `stop` (when provided) returns true.
+    /// Runs the body with batch_hint 1 and no coordinate hook, scoring
+    /// each proposed batch one candidate at a time and ending it at the
+    /// first candidate after which `stop` holds — so a strategy whose
+    /// rounds are fixed-size batches (majority vote, random partition)
+    /// still ends on its deadline, not after the rest of the round.
     virtual SearchResult search(const surface::ConfigSpace& space,
                                 const EvalFn& eval, std::size_t max_evals,
                                 util::Rng& rng,
-                                const StopFn& stop = nullptr) const = 0;
+                                const StopFn& stop = nullptr) const;
 
-    /// Batched search: the strategy proposes groups of independent
-    /// candidates — up to `batch_hint` at a time, never more than the
-    /// remaining budget — so the caller can evaluate them concurrently.
-    /// Scores are folded into the result in proposal order, keeping the
-    /// outcome independent of evaluation concurrency. The base adapter
-    /// degenerates to one-candidate batches (serial semantics);
-    /// strategies with natural parallelism (exhaustive chunks, the
-    /// all-states sweep of one coordinate) override it.
+    /// Batched entry without a coordinate hook: forwards to the body with
+    /// an empty hook.
     virtual SearchResult search_batched(const surface::ConfigSpace& space,
                                         const BatchEvalFn& eval,
                                         std::size_t max_evals,
@@ -105,11 +111,18 @@ public:
                                         const StopFn& stop = nullptr,
                                         std::size_t batch_hint = 1) const;
 
-    /// Batched search with a coordinate-sweep fast path: strategies whose
-    /// proposals are all-states sweeps of one element route those through
-    /// `coordinate` (when non-empty) and everything else through `eval`.
-    /// The base adapter ignores `coordinate`; only GreedyCoordinateDescent
-    /// currently exploits it. The hook never changes which candidates run
+    /// The search body. The strategy proposes groups of independent
+    /// candidates — never more than the remaining budget — so the caller
+    /// can evaluate them concurrently; `batch_hint` is a size suggestion
+    /// that only strategies without a natural batch (exhaustive chunks)
+    /// follow. Scores are folded into the result in proposal order,
+    /// keeping the outcome independent of evaluation concurrency. `stop`
+    /// is checked between batches; an evaluator may cut a batch short
+    /// only when `stop` holds after the candidates it did score (the
+    /// serial entry does exactly that). Strategies whose proposals are
+    /// all-states sweeps of one element (GreedyCoordinateDescent) route
+    /// those through `coordinate` when it is non-empty and everything
+    /// else through `eval`; the hook never changes which candidates run
     /// or which rng streams they consume — only how a candidate's
     /// response is assembled (base-plus-swept-row instead of a full
     /// gather, a different but fixed summation association).
@@ -119,33 +132,37 @@ public:
                                         std::size_t max_evals,
                                         util::Rng& rng,
                                         const StopFn& stop = nullptr,
-                                        std::size_t batch_hint = 1) const;
+                                        std::size_t batch_hint = 1) const = 0;
 
     virtual std::string name() const = 0;
 };
 
 /// Exhaustive enumeration in index order (optimal when affordable; the
-/// paper's prototype swept all 64 configurations this way).
+/// paper's prototype swept all 64 configurations this way). Proposes
+/// index-order chunks of `batch_hint` configurations.
 class ExhaustiveSearcher : public Searcher {
 public:
-    SearchResult search(const surface::ConfigSpace& space, const EvalFn& eval,
-                        std::size_t max_evals, util::Rng& rng,
-                        const StopFn& stop = nullptr) const override;
-    /// Proposes index-order chunks of `batch_hint` configurations.
+    using Searcher::search_batched;
     SearchResult search_batched(const surface::ConfigSpace& space,
                                 const BatchEvalFn& eval,
+                                const CoordinateEvalFn& coordinate,
                                 std::size_t max_evals, util::Rng& rng,
                                 const StopFn& stop = nullptr,
                                 std::size_t batch_hint = 1) const override;
     std::string name() const override { return "exhaustive"; }
 };
 
-/// Uniform random sampling without early termination.
+/// Uniform random sampling without early termination, one candidate per
+/// batch.
 class RandomSearcher : public Searcher {
 public:
-    SearchResult search(const surface::ConfigSpace& space, const EvalFn& eval,
-                        std::size_t max_evals, util::Rng& rng,
-                        const StopFn& stop = nullptr) const override;
+    using Searcher::search_batched;
+    SearchResult search_batched(const surface::ConfigSpace& space,
+                                const BatchEvalFn& eval,
+                                const CoordinateEvalFn& coordinate,
+                                std::size_t max_evals, util::Rng& rng,
+                                const StopFn& stop = nullptr,
+                                std::size_t batch_hint = 1) const override;
     std::string name() const override { return "random"; }
 };
 
@@ -154,24 +171,15 @@ public:
 /// configuration when a pass makes no progress. Already-scored
 /// configurations are memoized, so revisits (common near local optima and
 /// after restarts) consume no evaluation budget; the search ends early if
-/// an entire restart pass touches only memoized configurations.
+/// an entire restart pass touches only memoized configurations. Each
+/// sweep proposes all unseen alternative states of one element as a
+/// batch (routed through `coordinate` when provided; restart seeds still
+/// go through `eval`); `batch_hint` is ignored. Memo hits and fresh
+/// scores are folded in ascending state order, the first strict
+/// improvement winning exact ties.
 class GreedyCoordinateDescent : public Searcher {
 public:
-    SearchResult search(const surface::ConfigSpace& space, const EvalFn& eval,
-                        std::size_t max_evals, util::Rng& rng,
-                        const StopFn& stop = nullptr) const override;
-    /// Proposes all unseen alternative states of one element as a batch
-    /// (the coordinate sweep's natural parallel unit); `batch_hint` is
-    /// ignored. Evaluation order matches the serial search exactly.
-    SearchResult search_batched(const surface::ConfigSpace& space,
-                                const BatchEvalFn& eval,
-                                std::size_t max_evals, util::Rng& rng,
-                                const StopFn& stop = nullptr,
-                                std::size_t batch_hint = 1) const override;
-    /// Routes coordinate sweeps through `coordinate` when provided
-    /// (restart seeds still go through `eval`); candidate order — and
-    /// therefore every rng stream — matches the plain batched search
-    /// exactly.
+    using Searcher::search_batched;
     SearchResult search_batched(const surface::ConfigSpace& space,
                                 const BatchEvalFn& eval,
                                 const CoordinateEvalFn& coordinate,
@@ -182,15 +190,19 @@ public:
 };
 
 /// Simulated annealing over single-element mutations with a geometric
-/// cooling schedule.
+/// cooling schedule. Inherently serial: one candidate per batch.
 class SimulatedAnnealingSearcher : public Searcher {
 public:
     /// `initial_temp` is in score units; `cooling` in (0, 1).
     explicit SimulatedAnnealingSearcher(double initial_temp = 6.0,
                                         double cooling = 0.97);
-    SearchResult search(const surface::ConfigSpace& space, const EvalFn& eval,
-                        std::size_t max_evals, util::Rng& rng,
-                        const StopFn& stop = nullptr) const override;
+    using Searcher::search_batched;
+    SearchResult search_batched(const surface::ConfigSpace& space,
+                                const BatchEvalFn& eval,
+                                const CoordinateEvalFn& coordinate,
+                                std::size_t max_evals, util::Rng& rng,
+                                const StopFn& stop = nullptr,
+                                std::size_t batch_hint = 1) const override;
     std::string name() const override { return "annealing"; }
 
 private:
@@ -198,15 +210,19 @@ private:
     double cooling_;
 };
 
-/// A compact generational genetic algorithm: tournament selection, uniform
-/// crossover, per-element mutation.
+/// A compact steady-state genetic algorithm: tournament selection, uniform
+/// crossover, per-element mutation. One candidate per batch.
 class GeneticSearcher : public Searcher {
 public:
     explicit GeneticSearcher(std::size_t population = 16,
                              double mutation_rate = 0.15);
-    SearchResult search(const surface::ConfigSpace& space, const EvalFn& eval,
-                        std::size_t max_evals, util::Rng& rng,
-                        const StopFn& stop = nullptr) const override;
+    using Searcher::search_batched;
+    SearchResult search_batched(const surface::ConfigSpace& space,
+                                const BatchEvalFn& eval,
+                                const CoordinateEvalFn& coordinate,
+                                std::size_t max_evals, util::Rng& rng,
+                                const StopFn& stop = nullptr,
+                                std::size_t batch_hint = 1) const override;
     std::string name() const override { return "genetic"; }
 
 private:
@@ -236,14 +252,7 @@ public:
                                   double flip_prob = 0.5,
                                   double flip_decay = 0.92,
                                   double min_flip_prob = 0.015625);
-    SearchResult search(const surface::ConfigSpace& space, const EvalFn& eval,
-                        std::size_t max_evals, util::Rng& rng,
-                        const StopFn& stop = nullptr) const override;
-    SearchResult search_batched(const surface::ConfigSpace& space,
-                                const BatchEvalFn& eval,
-                                std::size_t max_evals, util::Rng& rng,
-                                const StopFn& stop = nullptr,
-                                std::size_t batch_hint = 1) const override;
+    using Searcher::search_batched;
     SearchResult search_batched(const surface::ConfigSpace& space,
                                 const BatchEvalFn& eval,
                                 const CoordinateEvalFn& coordinate,
@@ -274,14 +283,7 @@ class RandomizedPartitionSearcher : public Searcher {
 public:
     explicit RandomizedPartitionSearcher(std::size_t initial_groups = 8,
                                          std::size_t max_groups = 256);
-    SearchResult search(const surface::ConfigSpace& space, const EvalFn& eval,
-                        std::size_t max_evals, util::Rng& rng,
-                        const StopFn& stop = nullptr) const override;
-    SearchResult search_batched(const surface::ConfigSpace& space,
-                                const BatchEvalFn& eval,
-                                std::size_t max_evals, util::Rng& rng,
-                                const StopFn& stop = nullptr,
-                                std::size_t batch_hint = 1) const override;
+    using Searcher::search_batched;
     SearchResult search_batched(const surface::ConfigSpace& space,
                                 const BatchEvalFn& eval,
                                 const CoordinateEvalFn& coordinate,

@@ -17,7 +17,12 @@ std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
 
 double Rng::gaussian(double mean, double stddev) {
     PRESS_EXPECTS(stddev >= 0.0, "stddev must be non-negative");
-    return std::normal_distribution<double>(mean, stddev)(engine_);
+    // Scale a standard deviate rather than construct the distribution with
+    // `stddev`: std::normal_distribution requires stddev > 0. libstdc++
+    // computes the same z * stddev + mean, so every stream with
+    // stddev > 0 is unchanged, and stddev == 0 consumes the same draws.
+    return std::normal_distribution<double>(0.0, 1.0)(engine_) * stddev +
+           mean;
 }
 
 std::complex<double> Rng::complex_gaussian(double variance) {

@@ -4,6 +4,7 @@
 // System::optimize_fast agreeing with itself across thread counts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <set>
 #include <stdexcept>
@@ -16,6 +17,7 @@
 #include "core/scenarios.hpp"
 #include "core/system.hpp"
 #include "press/config.hpp"
+#include "util/contracts.hpp"
 #include "util/rng.hpp"
 
 namespace press::control {
@@ -239,19 +241,63 @@ TEST(SearchBatched, GreedyMatchesSerialEvaluationSequence) {
 }
 
 TEST(SearchBatched, DefaultAdapterCoversEveryStrategy) {
+    // search() is an adapter over the one batched body: with a
+    // one-at-a-time batch evaluator the two entries run the same
+    // candidates and leave the rng in the same place.
     const surface::ConfigSpace space = small_space();
+    const EvalFn eval = plateau_score;
     const BatchEvalFn beval = [](const std::vector<surface::Config>& b) {
         std::vector<double> s;
         for (const surface::Config& c : b) s.push_back(plateau_score(c));
         return s;
     };
     for (const auto& searcher : all_searchers()) {
-        util::Rng rng(11);
+        util::Rng rng_a(11), rng_b(11);
+        const SearchResult serial = searcher->search(space, eval, 32, rng_a);
         const SearchResult r =
-            searcher->search_batched(space, beval, 32, rng);
+            searcher->search_batched(space, beval, 32, rng_b);
         EXPECT_GE(r.evaluations, 1u) << searcher->name();
         EXPECT_EQ(r.trajectory.size(), r.evaluations) << searcher->name();
+        EXPECT_EQ(r.trajectory, serial.trajectory) << searcher->name();
+        EXPECT_EQ(r.best_config, serial.best_config) << searcher->name();
+        EXPECT_EQ(r.evaluations, serial.evaluations) << searcher->name();
+        EXPECT_EQ(rng_a.uniform_int(0, 1ll << 62),
+                  rng_b.uniform_int(0, 1ll << 62))
+            << searcher->name();
     }
+}
+
+TEST(SearchBatched, ShortReplyOnlyWhenStopHolds) {
+    // An evaluator may end a batch early only on the deadline: a short,
+    // non-empty reply after which the stop holds. Anything else is a
+    // mismatched score count.
+    const surface::ConfigSpace space = small_space();
+    ExhaustiveSearcher searcher;
+    bool deadline = false;
+    const StopFn stop = [&deadline]() { return deadline; };
+    const auto scoring_first = [&deadline](std::size_t n, bool then_stop) {
+        return [&deadline, n,
+                then_stop](const std::vector<surface::Config>& b) {
+            std::vector<double> s;
+            for (std::size_t i = 0; i < std::min(n, b.size()); ++i)
+                s.push_back(plateau_score(b[i]));
+            deadline = then_stop;
+            return s;
+        };
+    };
+    util::Rng rng(1);
+    const SearchResult cut = searcher.search_batched(
+        space, scoring_first(3, true), 64, rng, stop, 8);
+    EXPECT_EQ(cut.evaluations, 3u);
+    EXPECT_EQ(cut.trajectory.size(), 3u);
+    deadline = false;
+    EXPECT_THROW(searcher.search_batched(space, scoring_first(3, false), 64,
+                                         rng, stop, 8),
+                 util::ContractViolation);
+    deadline = false;
+    EXPECT_THROW(searcher.search_batched(space, scoring_first(0, true), 64,
+                                         rng, stop, 8),
+                 util::ContractViolation);
 }
 
 TEST(GreedyMemoization, NeverEvaluatesAConfigurationTwice) {

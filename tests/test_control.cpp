@@ -288,6 +288,9 @@ struct SyntheticProblem {
     }
 };
 
+// Parameterized suites below run once per all_searchers() entry.
+const int kNumSearchers = static_cast<int>(all_searchers().size());
+
 class SearcherFindsOptimum : public ::testing::TestWithParam<int> {};
 
 TEST_P(SearcherFindsOptimum, OnSeparableProblem) {
@@ -307,7 +310,7 @@ TEST_P(SearcherFindsOptimum, OnSeparableProblem) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllStrategies, SearcherFindsOptimum,
-                         ::testing::Range(0, 5));
+                         ::testing::Range(0, kNumSearchers));
 
 class SearcherRespectsBudget : public ::testing::TestWithParam<int> {};
 
@@ -331,7 +334,7 @@ TEST_P(SearcherRespectsBudget, NeverExceeds) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllStrategies, SearcherRespectsBudget,
-                         ::testing::Range(0, 5));
+                         ::testing::Range(0, kNumSearchers));
 
 class SearcherTrajectory : public ::testing::TestWithParam<int> {};
 
@@ -352,7 +355,7 @@ TEST_P(SearcherTrajectory, BestScoreIsMonotone) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllStrategies, SearcherTrajectory,
-                         ::testing::Range(0, 5));
+                         ::testing::Range(0, kNumSearchers));
 
 TEST(Search, ExhaustiveCoversWholeSpaceInOrder) {
     const surface::ConfigSpace space({2, 3});
@@ -383,6 +386,31 @@ TEST(Search, DeterministicGivenSeed) {
             rng_b);
         EXPECT_EQ(ra.best_config, rb.best_config) << searcher->name();
         EXPECT_EQ(ra.trajectory, rb.trajectory) << searcher->name();
+    }
+}
+
+TEST(Search, SerialStopEndsAtTheFiringCandidate) {
+    // A deadline that passes after the k-th evaluation ends every serial
+    // search right there — also the strategies whose rounds are
+    // fixed-size batches (majority vote's probes, partition's blocks),
+    // and also when it has passed before the first evaluation.
+    const surface::ConfigSpace space({4, 4, 4, 4, 4, 4});
+    const SyntheticProblem problem{{2, 0, 3, 1, 2, 0}};
+    for (const auto& searcher : all_searchers()) {
+        for (const std::size_t k : {10u, 1u, 0u}) {
+            std::size_t calls = 0;
+            util::Rng rng(3);
+            const SearchResult r = searcher->search(
+                space,
+                [&](const surface::Config& c) {
+                    ++calls;
+                    return problem(c);
+                },
+                100, rng, [&]() { return calls >= k; });
+            EXPECT_EQ(calls, k) << searcher->name();
+            EXPECT_EQ(r.evaluations, k) << searcher->name();
+            EXPECT_EQ(r.trajectory.size(), k) << searcher->name();
+        }
     }
 }
 

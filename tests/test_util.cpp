@@ -105,6 +105,16 @@ TEST(Rng, GaussianMoments) {
     EXPECT_NEAR(stddev(xs), 2.0, 0.1);
 }
 
+TEST(Rng, ZeroStddevGaussianIsTheMeanInStep) {
+    // stddev == 0 is legal: the draw is exactly the mean, and the engine
+    // advances as far as a standard normal draw would take it.
+    Rng rng(14);
+    Rng twin(14);
+    EXPECT_EQ(rng.gaussian(-3.25, 0.0), -3.25);
+    (void)twin.gaussian(0.0, 1.0);
+    EXPECT_EQ(rng.uniform_int(0, 1ll << 62), twin.uniform_int(0, 1ll << 62));
+}
+
 TEST(Rng, ComplexGaussianVariance) {
     Rng rng(10);
     double acc = 0.0;
